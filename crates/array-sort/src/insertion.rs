@@ -55,6 +55,11 @@ pub fn insertion_sort<K: SortKey>(a: &mut [K]) -> InsertionWork {
     work
 }
 
+/// Length below which [`simulated_insertion_sort`] runs the real
+/// [`insertion_sort`]: on short inputs its quadratic scan is cheaper on
+/// the host than the inversion count's three allocations and sort.
+const REAL_SORT_CUTOFF: usize = 32;
+
 /// Sorts `a` and returns the **exact** work a real [`insertion_sort`]
 /// would have done — without paying its O(s²) host time.
 ///
@@ -63,11 +68,14 @@ pub fn insertion_sort<K: SortKey>(a: &mut [K]) -> InsertionWork {
 /// inversion count (the shift count of insertion sort equals the inversion
 /// count; the comparison count adds one non-shifting probe per element that
 /// doesn't land at index 0), while the simulated cycles charged are
-/// identical to the quadratic algorithm the paper runs.
+/// identical to the quadratic algorithm the paper runs. Inputs shorter
+/// than `REAL_SORT_CUTOFF` (32), such as the deterministic policy's
+/// ~20-element tiles, simply run [`insertion_sort`], whose counts are
+/// exact by definition.
 pub fn simulated_insertion_sort<K: SortKey>(a: &mut [K]) -> InsertionWork {
     let n = a.len();
-    if n < 2 {
-        return InsertionWork::default();
+    if n < REAL_SORT_CUTOFF {
+        return insertion_sort(a);
     }
     // Count, for each element, how many earlier elements exceed it
     // (= shifts it causes), plus whether it stops against a smaller
@@ -193,6 +201,7 @@ pub fn insertion_sort_pairs<K: SortKey, V: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use support::check::check;
 
     #[test]
     fn empty_and_singleton_do_no_work() {
@@ -271,6 +280,42 @@ mod tests {
             real.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             sim.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// Every length on both sides of the cutoff, on inputs drawn from a
+    /// per-case alphabet (from all-equal to nearly distinct) and on
+    /// floats mixing NaN, ±0 and ±∞ into a few finite values.
+    #[test]
+    fn simulated_work_matches_real_for_every_length() {
+        const SPECIAL: [f32; 6] = [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, -1.5];
+        for len in 0..=80usize {
+            check(8, |rng| {
+                let alphabet = rng.gen_range(1u32..=len.max(1) as u32 * 2);
+                let ints: Vec<u32> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
+                let (mut real, mut sim) = (ints.clone(), ints);
+                assert_eq!(
+                    simulated_insertion_sort(&mut sim),
+                    insertion_sort(&mut real),
+                    "len {len}"
+                );
+                assert_eq!(sim, real, "len {len}");
+
+                let floats: Vec<f32> = (0..len)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                        _ => rng.gen_range(0u32..4) as f32,
+                    })
+                    .collect();
+                let (mut real, mut sim) = (floats.clone(), floats);
+                assert_eq!(
+                    simulated_insertion_sort(&mut sim),
+                    insertion_sort(&mut real),
+                    "len {len}"
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sim), bits(&real), "len {len}");
+            });
+        }
     }
 
     #[test]

@@ -114,8 +114,10 @@ pub fn deterministic_splitters<K: SortKey>(
     // the merged picks are exact order statistics of the array.
     let per_tile = (s / p).max(1).max(p.min(tile_len));
     let mut candidates: Vec<K> = Vec::with_capacity(per_tile * p);
+    let mut sorted: Vec<K> = Vec::with_capacity(tile_len);
     for tile in arr.chunks(tile_len) {
-        let mut sorted = tile.to_vec();
+        sorted.clear();
+        sorted.extend_from_slice(tile);
         work.tile_sort.add(simulated_insertion_sort(&mut sorted));
         let m = sorted.len();
         let q = per_tile.min(m);
@@ -136,13 +138,24 @@ pub fn deterministic_splitters<K: SortKey>(
         moves: c as u64,
     };
     candidates.sort_by(|a, b| a.total_order(*b));
+    (pick_splitters(&candidates, p), work)
+}
+
+/// Picks every `(c/p)`-th of the `c` sorted `candidates` as one of the
+/// `p − 1` splitters. A splitter equal to its predecessor would cut
+/// nothing (the shared [`bucket_index`] folds equal boundaries), so each
+/// pick advances to the next strictly greater candidate when one exists.
+/// The walk resumes from the previous pick's index: every candidate up to
+/// it is no greater than that pick, so a heavy duplicate run is crossed
+/// once, not once per pick landing in it.
+fn pick_splitters<K: SortKey>(candidates: &[K], p: usize) -> Vec<K> {
+    let c = candidates.len();
     let mut picks: Vec<K> = Vec::with_capacity(p - 1);
+    let mut prev_idx = 0;
     for j in 1..p {
         let mut idx = (j * c / p).min(c - 1);
         if let Some(&prev) = picks.last() {
-            // A splitter equal to its predecessor would cut nothing (the
-            // shared bucket_index folds equal boundaries): advance to the
-            // next strictly greater candidate when one exists.
+            idx = idx.max(prev_idx);
             while idx < c && !prev.lt(candidates[idx]) {
                 idx += 1;
             }
@@ -151,8 +164,9 @@ pub fn deterministic_splitters<K: SortKey>(
             }
         }
         picks.push(candidates[idx]);
+        prev_idx = idx;
     }
-    (picks, work)
+    picks
 }
 
 /// Picks the strategy for `geom` on the current device.
@@ -351,6 +365,7 @@ mod tests {
     use super::*;
     use crate::config::ArraySortConfig;
     use gpu_sim::DeviceSpec;
+    use support::check::check;
     use support::ChaCha8Rng;
 
     fn setup(num: usize, n: usize) -> (Gpu, BatchGeometry, Vec<f32>) {
@@ -521,6 +536,85 @@ mod tests {
         let (picks, _) = deterministic_splitters(&arr, 50, 100);
         assert_eq!(picks.len(), 49);
         assert!(picks.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The original pick walk, kept as the oracle: every pick restarts
+    /// at `j·c/p` and walks past candidates no greater than its
+    /// predecessor.
+    fn reference_picks(candidates: &[f32], p: usize) -> Vec<f32> {
+        let c = candidates.len();
+        let mut picks: Vec<f32> = Vec::with_capacity(p - 1);
+        for j in 1..p {
+            let mut idx = (j * c / p).min(c - 1);
+            if let Some(&prev) = picks.last() {
+                while idx < c && !prev.lt(candidates[idx]) {
+                    idx += 1;
+                }
+                if idx >= c {
+                    idx = c - 1;
+                }
+            }
+            picks.push(candidates[idx]);
+        }
+        picks
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// An all-equal, single-heavy (~90 % one value) or few-distinct
+    /// (≤ 8 values) array of `n` elements.
+    fn skewed_array(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
+        let heavy = rng.gen_range(-10.0f32..10.0);
+        let palette: Vec<f32> = (0..rng.gen_range(1..=8))
+            .map(|_| rng.gen_range(-10.0f32..10.0))
+            .collect();
+        let shape = rng.gen_range(0..3);
+        (0..n)
+            .map(|_| match shape {
+                0 => heavy,
+                1 if rng.gen_range(0..10) < 9 => heavy,
+                1 => rng.gen_range(-10.0f32..10.0),
+                _ => palette[rng.gen_range(0..palette.len())],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn picks_match_the_reference_walk_on_skewed_candidates() {
+        check(512, |rng| {
+            let p = rng.gen_range(2usize..=64);
+            let c = rng.gen_range(1usize..=1200);
+            let mut candidates = skewed_array(rng, c);
+            candidates.sort_by(f32::total_cmp);
+            assert_eq!(
+                bits(&pick_splitters(&candidates, p)),
+                bits(&reference_picks(&candidates, p)),
+                "p {p}, c {c}"
+            );
+        });
+    }
+
+    /// With `n ≤ p²` every tile element is a candidate, so the sorted
+    /// array is the candidate list and the whole selection can be
+    /// checked against the reference walk.
+    #[test]
+    fn deterministic_splitters_match_the_reference_walk_on_skewed_arrays() {
+        check(256, |rng| {
+            let p = rng.gen_range(2usize..=50);
+            let n = rng.gen_range(1..=p * p);
+            let arr = skewed_array(rng, n);
+            let mut sorted = arr.clone();
+            sorted.sort_by(f32::total_cmp);
+            let (picks, work) = deterministic_splitters(&arr, p, 2 * p);
+            assert_eq!(work.candidates, n);
+            assert_eq!(
+                bits(&picks),
+                bits(&reference_picks(&sorted, p)),
+                "p {p}, n {n}"
+            );
+        });
     }
 
     #[test]

@@ -629,9 +629,10 @@ const DEFAULT_CHAOS_FAULTS: &str =
 /// match the CPU oracle, the [`RecoveryReport`] must account for every
 /// error-producing fault the device logged, and the run rendered as
 /// telemetry (recovery counters, per-kind injected-fault counters) must
-/// reconcile with both the report and the injector log. Any violation
-/// makes the command fail (nonzero exit), so CI can fan it out across
-/// seeds.
+/// reconcile with both the report and the injector log. A scripted
+/// `*-at=I` pin that never fired is a fourth violation: the run did not
+/// test what it was asked to. Any violation makes the command fail
+/// (nonzero exit), so CI can fan it out across seeds.
 /// `--algorithm gas` (default) drives the recovering out-of-core
 /// sorter; `gas-fused` and `gas-warp` drive the single-kernel pipelines
 /// through [`recover_batch_with`] on an in-core batch.
@@ -717,6 +718,19 @@ pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
                 let error_faults = injected.iter().filter(|f| f.kind.is_error()).count();
                 let sorted_ok = cpu_ref::verify_against(&original, &data, n).is_none();
                 let accounted = report.device_faults() as usize == error_faults;
+                // A scripted pin that never fired makes the campaign
+                // vacuous: the run tested nothing it was asked to.
+                let unfired: Vec<String> = gpu
+                    .unfired_scripted_faults()
+                    .iter()
+                    .map(|pin| pin.to_string())
+                    .collect();
+                if !unfired.is_empty() {
+                    failures.push(format!(
+                        "seed {seed}: scripted fault(s) never fired: {}",
+                        unfired.join(", ")
+                    ));
+                }
                 if !sorted_ok {
                     failures.push(format!("seed {seed}: output does not match the CPU oracle"));
                 }
@@ -787,6 +801,7 @@ pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
                     "sorted_ok": sorted_ok,
                     "accounted": accounted,
                     "metrics_reconciled": metrics_reconciled,
+                    "unfired_pins": unfired,
                 }));
             }
         }
@@ -828,6 +843,7 @@ pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
                 if r["sorted_ok"] == true
                     && r["accounted"] == true
                     && r["metrics_reconciled"] == true
+                    && r["unfired_pins"].as_array().is_some_and(|p| p.is_empty())
                 {
                     "✓"
                 } else {
@@ -1375,9 +1391,10 @@ USAGE:
                [--faults SPEC] [--retries K] [--device ...] [--dist ...]
                [--trace-dir DIR] [--json]
                (seeded fault-injection campaign: every run must match the
-                CPU oracle, account for each injected fault, and its
-                telemetry counters must reconcile with the report and the
-                injector log, else exit 1)
+                CPU oracle, account for each injected fault, fire every
+                scripted *-at=I pin, and its telemetry counters must
+                reconcile with the report and the injector log, else
+                exit 1)
   gas profile  --num-arrays N --array-len n [--seed S] [--dist ...]
                [--arrangement ...] [--splitters regular|deterministic]
                [--algorithm gas|gas-fused|gas-warp|sta] [--device ...]
@@ -2705,6 +2722,58 @@ mod tests {
             .find(|p| p["name"] == "gas/download")
             .expect("download phase");
         assert!(down["d2h_busy_pct"].as_f64().unwrap() > 0.0, "{down}");
+    }
+
+    #[test]
+    fn chaos_fails_when_a_scripted_fault_never_fires() {
+        // The fused pipeline launches one kernel per batch, so launch 2
+        // never comes: the campaign must fail and name the pin.
+        let err = run(&[
+            "chaos",
+            "--seed",
+            "1",
+            "--algorithm",
+            "gas-fused",
+            "--num-arrays",
+            "64",
+            "--array-len",
+            "200",
+            "--faults",
+            "seed=0,device-death-at=2,oom-at=0",
+        ])
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("scripted fault(s) never fired: device-death-at=2"),
+            "{err}"
+        );
+        assert!(!err.contains("oom-at=0"), "oom-at=0 did fire: {err}");
+    }
+
+    #[test]
+    fn chaos_kills_the_fused_pipeline_at_its_only_launch() {
+        let msg = run(&[
+            "chaos",
+            "--seed",
+            "1",
+            "--algorithm",
+            "gas-fused",
+            "--num-arrays",
+            "64",
+            "--array-len",
+            "200",
+            "--faults",
+            "seed=0,device-death-at=0",
+            "--json",
+        ])
+        .unwrap();
+        let v = json::parse(&msg).unwrap();
+        let r = &v["runs"][0];
+        assert_eq!(r["faults_injected"], 1, "{r}");
+        assert_eq!(r["accounted"], true, "{r}");
+        assert_eq!(r["sorted_ok"], true, "{r}");
+        assert!(r["cpu_fallbacks"].as_u64().unwrap() > 0, "{r}");
+        assert!(r["unfired_pins"].as_array().unwrap().is_empty(), "{r}");
     }
 
     #[test]

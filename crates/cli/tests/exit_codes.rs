@@ -226,6 +226,35 @@ fn chaos_with_faults_still_exits_zero_when_recovery_holds() {
 }
 
 #[test]
+fn chaos_with_an_unfired_scripted_fault_exits_one() {
+    // One fused batch launches one kernel: launch 2 never comes.
+    let args = |pin| {
+        gas(&[
+            "chaos",
+            "--seed",
+            "1",
+            "--algorithm",
+            "gas-fused",
+            "--num-arrays",
+            "32",
+            "--array-len",
+            "100",
+            "--faults",
+            pin,
+        ])
+    };
+    let out = args("seed=0,device-death-at=2");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("never fired: device-death-at=2"),
+        "{}",
+        stderr(&out)
+    );
+    let out = args("seed=0,device-death-at=0");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+#[test]
 fn sort_with_scripted_fault_recovers_and_exits_zero() {
     let f = fixture("recover.bin", "20", "64");
     let out = gas(&[

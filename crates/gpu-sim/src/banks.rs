@@ -2,14 +2,15 @@
 //!
 //! Kepler shared memory is striped across 32 four-byte banks; a warp
 //! access completes in as many passes as the most-contended bank (lanes
-//! reading the *same word* broadcast for free). The hot path charges a
-//! flat conflict-free cost ([`crate::cost::CostModel::shared_access`]);
-//! this analyzer is the ground truth for validating kernels' layouts in
-//! tests — e.g. the Phase-2 staging writes are conflict-prone when bucket
-//! cursors collide modulo 32, which is one reason the paper sizes buckets
-//! at ≥ 20 elements.
-
-use std::collections::HashMap;
+//! reading the *same word* broadcast for free). Most charges take a flat
+//! conflict-free cost ([`crate::cost::CostModel::shared_access`]); where
+//! the addresses matter, this analyzer measures them. The fused and
+//! warp-multisplit kernels run it once per warp group on the real scatter
+//! destinations of every array, so it sits on their host hot path and
+//! allocates nothing. Tests also use it to validate layouts — e.g. the
+//! Phase-2 staging writes are conflict-prone when bucket cursors collide
+//! modulo 32, which is one reason the paper sizes buckets at ≥ 20
+//! elements.
 
 /// Number of banks on Kepler-class parts.
 pub const NUM_BANKS: u32 = 32;
@@ -18,22 +19,37 @@ pub const BANK_WIDTH: u32 = 4;
 
 /// Degree of conflict of one warp-wide shared-memory access: the number
 /// of serialized passes (1 = conflict-free, 32 = fully serialized).
-/// Lanes touching the *same word* count once (broadcast).
+/// Lanes touching the *same word* count once (broadcast). Panics past 64
+/// lanes, like the warp intrinsics (no real part has them).
 pub fn conflict_degree(byte_addrs: &[u64]) -> u32 {
-    let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
-    for &a in byte_addrs {
-        let word = a / BANK_WIDTH as u64;
-        let bank = word % NUM_BANKS as u64;
-        let words = per_bank.entry(bank).or_default();
-        if !words.contains(&word) {
-            words.push(word);
+    lanes_degree(byte_addrs.len(), |i| byte_addrs[i])
+}
+
+/// The degree of `lanes` lanes, lane `i` touching byte `addr(i)`. A fixed
+/// per-bank table holds a bitmask of the lanes that brought the bank a
+/// new word, so a lane is checked for a broadcast only against those
+/// lanes, and the degree is the largest mask's popcount. Allocates
+/// nothing.
+fn lanes_degree(lanes: usize, addr: impl Fn(usize) -> u64) -> u32 {
+    assert!(lanes <= 64, "bank analysis supports at most 64 lanes");
+    let word = |i: usize| addr(i) / BANK_WIDTH as u64;
+    let mut new_word_lanes = [0u64; NUM_BANKS as usize];
+    for i in 0..lanes {
+        let w = word(i);
+        let bank = &mut new_word_lanes[(w % NUM_BANKS as u64) as usize];
+        let mut earlier = *bank;
+        while earlier != 0 && word(earlier.trailing_zeros() as usize) != w {
+            earlier &= earlier - 1;
+        }
+        if earlier == 0 {
+            *bank |= 1 << i;
         }
     }
-    per_bank
-        .values()
-        .map(|w| w.len() as u32)
+    new_word_lanes
+        .iter()
+        .map(|m| m.count_ones())
         .max()
-        .unwrap_or(1)
+        .unwrap_or(0)
         .max(1)
 }
 
@@ -47,12 +63,10 @@ pub fn conflict_degree(byte_addrs: &[u64]) -> u32 {
 /// * **Non-power-of-two `warp_size`** — the degree is computed over
 ///   exactly `warp_size` lanes, so a partial warp can only improve (never
 ///   worsen) the degree of the same stride at 32 lanes; `warp_size == 0`
-///   degenerates to the empty access, degree 1.
+///   degenerates to the empty access, degree 1. Past 64 lanes it panics,
+///   as [`conflict_degree`] does.
 pub fn strided_conflict_degree(base: u64, stride_bytes: u64, warp_size: u32) -> u32 {
-    let addrs: Vec<u64> = (0..warp_size as u64)
-        .map(|i| base + i * stride_bytes)
-        .collect();
-    conflict_degree(&addrs)
+    lanes_degree(warp_size as usize, |i| base + i as u64 * stride_bytes)
 }
 
 /// The Sitchinava–Weichert padded index: logical word `i` of a shared
@@ -78,6 +92,68 @@ pub fn padded_len(len: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use support::check::{check, vec};
+
+    /// The original analyzer, kept as the oracle: a map from bank to the
+    /// distinct words seen on it.
+    fn reference_degree(byte_addrs: &[u64]) -> u32 {
+        let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
+        for &a in byte_addrs {
+            let word = a / BANK_WIDTH as u64;
+            let bank = word % NUM_BANKS as u64;
+            let words = per_bank.entry(bank).or_default();
+            if !words.contains(&word) {
+                words.push(word);
+            }
+        }
+        per_bank
+            .values()
+            .map(|w| w.len() as u32)
+            .max()
+            .unwrap_or(1)
+            .max(1)
+    }
+
+    /// Random warp accesses of 0..=64 lanes over 4- and 8-byte elements.
+    /// The index range is drawn per case, so some cases crowd many lanes
+    /// onto a few words (broadcasts) and others spread them over many
+    /// banks; unaligned byte offsets share words with their neighbours.
+    #[test]
+    fn conflict_degree_matches_the_reference() {
+        check(512, |rng| {
+            let elem = [1u64, 4, 8][rng.gen_range(0..3)];
+            let span = rng.gen_range(1u64..=512);
+            let base = rng.gen_range(0u64..4096);
+            let addrs = vec(rng, 0..=64, |r| base + r.gen_range(0..span) * elem);
+            assert_eq!(
+                conflict_degree(&addrs),
+                reference_degree(&addrs),
+                "{addrs:?}"
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 lanes")]
+    fn more_than_64_lanes_is_rejected() {
+        conflict_degree(&[0u64; 65]);
+    }
+
+    #[test]
+    fn strided_degree_matches_the_reference() {
+        check(256, |rng| {
+            let base = rng.gen_range(0u64..1024);
+            let stride = rng.gen_range(0u64..=300);
+            let lanes = rng.gen_range(0u32..=64);
+            let addrs: Vec<u64> = (0..lanes as u64).map(|i| base + i * stride).collect();
+            assert_eq!(
+                strided_conflict_degree(base, stride, lanes),
+                reference_degree(&addrs),
+                "base {base}, stride {stride}, {lanes} lanes"
+            );
+        });
+    }
 
     #[test]
     fn unit_stride_is_conflict_free() {

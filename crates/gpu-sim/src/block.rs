@@ -404,9 +404,9 @@ impl<T> SharedArray<T> {
 /// with these host-side reference functions (each takes the warp's lanes
 /// as a slice, lane `i` at index `i`) and bill the cycles through
 /// [`ThreadCtx::charge_warp_vote`] / [`ThreadCtx::charge_warp_shuffle`] /
-/// [`ThreadCtx::charge_warp_scan`]. The functions are deliberately
-/// scalar and obviously correct — `tests/warp.rs` property-checks the
-/// kernels' uses against them.
+/// [`ThreadCtx::charge_warp_scan`]. The functions are scalar and cheap
+/// enough to run per warp group on the kernels' host path;
+/// `tests/warp.rs` property-checks them against pairwise references.
 pub mod warp {
     /// `__ballot_sync`: bitmask of lanes whose predicate holds. Lane `i`
     /// of `preds` maps to bit `i`. Panics past 64 lanes (no real part has
@@ -424,9 +424,25 @@ pub mod warp {
     /// itself).
     pub fn match_any(vals: &[u32]) -> Vec<u64> {
         assert!(vals.len() <= 64, "match_any supports at most 64 lanes");
-        vals.iter()
-            .map(|&v| ballot(&vals.iter().map(|&w| w == v).collect::<Vec<_>>()))
-            .collect()
+        let mut masks = vec![0u64; vals.len()];
+        for (i, &v) in vals.iter().enumerate() {
+            if masks[i] != 0 {
+                continue; // already filled in as a peer of a lower lane
+            }
+            // Lane i is the lowest lane holding v: one pass builds the
+            // group's mask, which every member shares.
+            let peers = vals[i..]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w == v)
+                .fold(0u64, |m, (j, _)| m | (1u64 << (i + j)));
+            let mut rest = peers;
+            while rest != 0 {
+                masks[rest.trailing_zeros() as usize] = peers;
+                rest &= rest - 1;
+            }
+        }
+        masks
     }
 
     /// Warp-exclusive prefix sum (the shuffle-ladder scan): output lane

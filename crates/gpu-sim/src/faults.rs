@@ -144,6 +144,23 @@ pub struct ScriptedFault {
 
 support::impl_to_json!(struct ScriptedFault { op, index, kind });
 
+impl fmt::Display for ScriptedFault {
+    /// The pin as its [`FaultPlan::parse`] key, e.g. `device-death-at=2`;
+    /// a pin only [`FaultPlan::with_scripted`] can make is spelled out.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = match (self.op, self.kind) {
+            (FaultOp::Launch, FaultKind::LaunchFailure) => "launch-at",
+            (FaultOp::Transfer, FaultKind::TransferAbort) => "abort-at",
+            (FaultOp::Transfer, FaultKind::TransferCorruption) => "corrupt-at",
+            (FaultOp::Alloc, FaultKind::DeviceOom) => "oom-at",
+            (FaultOp::Launch, FaultKind::StreamStall) => "stall-at",
+            (FaultOp::Launch, FaultKind::DeviceDeath) => "device-death-at",
+            (op, kind) => return write!(f, "{kind} at {op:?} {}", self.index),
+        };
+        write!(f, "{key}={}", self.index)
+    }
+}
+
 /// A deterministic fault schedule: per-class probabilities plus scripted
 /// faults, all derived from `seed`.
 ///
@@ -459,12 +476,15 @@ pub struct FaultInjector {
     transfers: u64,
     allocs: u64,
     injected: Vec<InjectedFault>,
+    /// `fired[i]`: whether `plan.scripted[i]` has been injected.
+    fired: Vec<bool>,
 }
 
 impl FaultInjector {
     /// Builds the injector for `plan`, seeding the RNG from `plan.seed`.
     pub fn new(plan: FaultPlan) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(plan.seed);
+        let fired = vec![false; plan.scripted.len()];
         Self {
             plan,
             rng,
@@ -472,6 +492,7 @@ impl FaultInjector {
             transfers: 0,
             allocs: 0,
             injected: Vec::new(),
+            fired,
         }
     }
 
@@ -490,6 +511,19 @@ impl FaultInjector {
         &self.injected
     }
 
+    /// The scripted pins that have not fired: their operation never
+    /// came, an earlier pin on the same operation took it, or the
+    /// [`FaultPlan::max_faults`] budget ran out first.
+    pub fn unfired_scripted(&self) -> Vec<ScriptedFault> {
+        self.plan
+            .scripted
+            .iter()
+            .zip(&self.fired)
+            .filter(|&(_, &fired)| !fired)
+            .map(|(&pin, _)| pin)
+            .collect()
+    }
+
     /// Number of injected faults that surfaced as errors (i.e. everything
     /// except stalls) — the count recovery layers must account for.
     pub fn error_faults(&self) -> usize {
@@ -502,12 +536,17 @@ impl FaultInjector {
             .is_none_or(|max| (self.injected.len() as u32) < max)
     }
 
-    fn scripted(&self, op: FaultOp, index: u64) -> Option<FaultKind> {
-        self.plan
+    /// The first pin on the `index`-th operation of class `op`, marked
+    /// fired: callers consult it only once the budget allows a fault, and
+    /// a pin always takes precedence over the rates.
+    fn scripted(&mut self, op: FaultOp, index: u64) -> Option<FaultKind> {
+        let i = self
+            .plan
             .scripted
             .iter()
-            .find(|s| s.op == op && s.index == index)
-            .map(|s| s.kind)
+            .position(|s| s.op == op && s.index == index)?;
+        self.fired[i] = true;
+        Some(self.plan.scripted[i].kind)
     }
 
     fn record(&mut self, kind: FaultKind, op: &str, op_index: u64, at_ms: f64) {
@@ -692,6 +731,42 @@ mod tests {
         assert_eq!(log[0].op_index, 2);
         assert_eq!(log[0].at_ms, 1.5);
         assert_eq!(inj.error_faults(), 3);
+    }
+
+    #[test]
+    fn unfired_pins_are_named_until_they_fire() {
+        let plan = FaultPlan::parse("device-death-at=2,launch-at=1,stall-at=1,oom-at=0").unwrap();
+        let mut inj = FaultInjector::new(plan.clone().with_max_faults(1));
+        let names = |inj: &FaultInjector| {
+            inj.unfired_scripted()
+                .iter()
+                .map(|p| p.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            names(&inj),
+            ["device-death-at=2", "launch-at=1", "stall-at=1", "oom-at=0"]
+        );
+        assert_eq!(inj.on_launch("a", 0.0), None);
+        assert_eq!(inj.on_launch("b", 0.0), Some(FaultKind::LaunchFailure));
+        // `stall-at=1` lost launch 1 to the earlier pin; the budget of one
+        // fault is spent, so launch 2 and alloc 0 pass clean.
+        assert_eq!(inj.on_launch("c", 0.0), None);
+        assert_eq!(inj.on_alloc("alloc", 0.0), None);
+        assert_eq!(names(&inj), ["device-death-at=2", "stall-at=1", "oom-at=0"]);
+
+        let mut inj = FaultInjector::new(plan);
+        for _ in 0..3 {
+            inj.on_launch("k", 0.0);
+        }
+        inj.on_alloc("alloc", 0.0);
+        assert_eq!(names(&inj), ["stall-at=1"], "only the shadowed pin is left");
+        let transfer_stall = ScriptedFault {
+            op: FaultOp::Transfer,
+            index: 4,
+            kind: FaultKind::StreamStall,
+        };
+        assert_eq!(transfer_stall.to_string(), "stream-stall at Transfer 4");
     }
 
     #[test]

@@ -6,7 +6,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::block::BlockCtx;
 use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
-use crate::faults::{corrupt_slice, FaultInjector, FaultKind, FaultPlan, InjectedFault};
+use crate::faults::{
+    corrupt_slice, FaultInjector, FaultKind, FaultPlan, InjectedFault, ScriptedFault,
+};
 use crate::memory::{DeviceBuffer, MemoryLedger};
 use crate::spec::DeviceSpec;
 use crate::stats::{
@@ -149,6 +151,16 @@ impl Gpu {
         self.faults
             .as_ref()
             .map(|m| lock(m).log().to_vec())
+            .unwrap_or_default()
+    }
+
+    /// The scripted faults of the installed plan that have not fired yet
+    /// (empty when no plan is installed); see
+    /// [`FaultInjector::unfired_scripted`].
+    pub fn unfired_scripted_faults(&self) -> Vec<ScriptedFault> {
+        self.faults
+            .as_ref()
+            .map(|m| lock(m).unfired_scripted())
             .unwrap_or_default()
     }
 
