@@ -19,49 +19,53 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match Args::parse(argv) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(&e.to_string()),
     };
     // `--splitters` is shared by every sorting subcommand; an unknown
     // value is an argument error (exit 2), same as any unparsable argv.
     if let Some(v) = args.get("splitters") {
         if let Err(e) = array_sort::SplitterPolicy::parse(v) {
-            eprintln!("error: --splitters: {e}\n\n{}", usage());
-            std::process::exit(2);
+            usage_error(&format!("--splitters: {e}"));
         }
     }
-    // The tail-tolerance tuning flags are numeric wherever they appear
-    // (serve/soak); a value that does not parse is an argument error
-    // (exit 2), same as any unparsable argv.
-    for key in ["timeout-slack", "hedge-slack-ms", "repeat-fraction"] {
-        if let Some(v) = args.get(key) {
-            if v.parse::<f64>().is_err() {
-                eprintln!("error: --{key}: cannot parse {v:?}\n\n{}", usage());
-                std::process::exit(2);
-            }
+    // The serving tuning knobs (serve/soak) are numbers wherever they
+    // appear: the watchdog slack, the hedging threshold and the
+    // admission window (which may also be the literal "auto",
+    // cost-model-chosen) must be finite and ≥ 0, and the workload mix
+    // fractions finite shares in [0, 1]. A value that does not parse or
+    // is out of range is an argument error (exit 2) naming the flag —
+    // never a silent "off", "auto" or "always".
+    for (key, expected, max) in [
+        ("timeout-slack", "a finite number ≥ 0", f64::INFINITY),
+        ("hedge-slack-ms", "a finite number of ms ≥ 0", f64::INFINITY),
+        (
+            "batch-window-ms",
+            "a finite duration in ms ≥ 0 or \"auto\"",
+            f64::INFINITY,
+        ),
+        ("warp-fraction", "a fraction in [0, 1]", 1.0),
+        ("fused-fraction", "a fraction in [0, 1]", 1.0),
+        ("det-fraction", "a fraction in [0, 1]", 1.0),
+        ("repeat-fraction", "a fraction in [0, 1]", 1.0),
+    ] {
+        let Some(v) = args.get(key) else { continue };
+        if key == "batch-window-ms" && v == "auto" {
+            continue;
+        }
+        match v.parse::<f64>() {
+            Err(_) => usage_error(&format!("--{key}: cannot parse {v:?}, expected {expected}")),
+            Ok(x) if !(x.is_finite() && (0.0..=max).contains(&x)) => usage_error(&format!(
+                "--{key}: {v} is out of range, expected {expected}"
+            )),
+            Ok(_) => {}
         }
     }
-    // The streaming-tier knobs: the admission window is a duration in
-    // ms or the literal "auto" (cost-model-chosen), the cache size is a
-    // whole number of entries. Anything else is an argument error.
-    if let Some(v) = args.get("batch-window-ms") {
-        if v != "auto" && v.parse::<f64>().is_err() {
-            eprintln!(
-                "error: --batch-window-ms: expected a duration in ms or \"auto\", got {v:?}\n\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-    }
+    // The cache size is a whole number of entries.
     if let Some(v) = args.get("cache-entries") {
         if v.parse::<usize>().is_err() {
-            eprintln!(
-                "error: --cache-entries: expected a whole number of entries, got {v:?}\n\n{}",
-                usage()
-            );
-            std::process::exit(2);
+            usage_error(&format!(
+                "--cache-entries: expected a whole number of entries, got {v:?}"
+            ));
         }
     }
     let result = match args.command.as_str() {
@@ -87,4 +91,10 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// Reports an argument error with the usage text and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{}", usage());
+    std::process::exit(2);
 }

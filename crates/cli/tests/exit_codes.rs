@@ -314,6 +314,42 @@ fn serve_bad_pool_args_exit_one() {
     );
 }
 
+/// Writes a one-request workload file and returns its path.
+fn one_request_workload(name: &str, num_arrays: &str, array_len: &str, deadline: &str) -> String {
+    let f = tmp(name);
+    let body = format!(
+        r#"{{"requests": [{{"id": 0, "num_arrays": {num_arrays}, "array_len": {array_len},
+            "data_seed": 1, "algorithm": "gas", "priority": "normal",
+            "arrival_ms": 0.0, "deadline_ms": {deadline}}}]}}"#
+    );
+    std::fs::write(&f, body).unwrap();
+    f
+}
+
+#[test]
+fn impossible_serve_payloads_exit_cleanly() {
+    // A payload whose size overflows is a malformed workload: exit 1,
+    // never a capacity-overflow panic.
+    let overflow = one_request_workload("overflow.json", "18446744073709551615", "2", "10.0");
+    // Payloads no pool device can hold are refused with a record before
+    // their bytes exist — exit 0, cache on or off, never an OOM abort.
+    let oversized = [
+        one_request_workload("oversized.json", "10000000", "4096", "0.5"),
+        one_request_workload("huge.json", "4000000000", "1000", "1e300"),
+    ];
+    for cache in ["0", "4"] {
+        let out = gas(&["serve", "--workload", &overflow, "--cache-entries", cache]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(stderr(&out).contains("overflow"), "{}", stderr(&out));
+        for f in &oversized {
+            let out = gas(&["serve", "--workload", f, "--cache-entries", cache, "--json"]);
+            assert_eq!(out.status.code(), Some(0), "{f}: {}", stderr(&out));
+            let body = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(body.contains("\"rejected\": 1,"), "{f}: {body}");
+        }
+    }
+}
+
 #[test]
 fn soak_exits_zero_on_a_clean_campaign() {
     let out = gas(&["soak", "--seed", "2", "--devices", "2", "--requests", "12"]);
@@ -418,6 +454,31 @@ fn tail_tolerance_flag_exit_codes_are_pinned() {
             stderr(&out)
         );
     }
+    // A number outside the flag's range is an argument error too, named
+    // on stderr: slack values must be finite and ≥ 0 (NaN or a negative
+    // slack would silently disarm the watchdog, an infinite threshold
+    // would hedge every High request).
+    for (flag, value) in [
+        ("--timeout-slack", "NaN"),
+        ("--timeout-slack", "-1"),
+        ("--hedge-slack-ms", "inf"),
+        ("--hedge-slack-ms", "-0.5"),
+    ] {
+        for cmd in ["serve", "soak"] {
+            let out = gas(&[cmd, "--requests", "5", flag, value]);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} {flag} {value}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains(flag),
+                "{cmd} {flag} {value}: {}",
+                stderr(&out)
+            );
+        }
+    }
     // Valid tuning runs end to end and exits 0, invariants included.
     let out = gas(&[
         "serve",
@@ -456,6 +517,35 @@ fn streaming_flag_exit_codes_are_pinned() {
             "{cmdline:?}: {}",
             stderr(&out)
         );
+    }
+    // Out-of-range numbers are argument errors naming the flag: the
+    // window must be finite and ≥ 0 (a negative one used to mean "auto",
+    // NaN used to disable coalescing) and every workload-mix fraction
+    // finite and in [0, 1].
+    for (flag, value) in [
+        ("--batch-window-ms", "-5"),
+        ("--batch-window-ms", "NaN"),
+        ("--batch-window-ms", "inf"),
+        ("--warp-fraction", "2"),
+        ("--warp-fraction", "NaN"),
+        ("--fused-fraction", "-0.1"),
+        ("--det-fraction", "5"),
+        ("--repeat-fraction", "1.5"),
+    ] {
+        for cmd in ["serve", "soak"] {
+            let out = gas(&[cmd, "--requests", "5", flag, value]);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} {flag} {value}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains(flag),
+                "{cmd} {flag} {value}: {}",
+                stderr(&out)
+            );
+        }
     }
     // The full streaming stack runs end to end and exits 0, invariants
     // (cache reconciliation included) holding.

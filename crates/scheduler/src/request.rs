@@ -143,9 +143,13 @@ support::impl_json!(struct SortRequest {
 });
 
 impl SortRequest {
-    /// Raw payload size in bytes (f32 elements).
+    /// Raw payload size in bytes (f32 elements), saturating at
+    /// `u64::MAX` rather than wrapping; [`Workload::validate`] rejects any
+    /// request whose size overflows.
     pub fn data_bytes(&self) -> u64 {
-        (self.num_arrays as u64) * (self.array_len as u64) * 4
+        (self.num_arrays as u64)
+            .saturating_mul(self.array_len as u64)
+            .saturating_mul(4)
     }
 }
 
@@ -326,8 +330,9 @@ impl Workload {
         support::json::to_string_pretty(self)
     }
 
-    /// Checks the stream is well formed: unique ids, positive shapes,
-    /// non-decreasing arrivals, deadlines after arrivals.
+    /// Checks the stream is well formed: unique ids, positive shapes
+    /// whose element and byte counts fit a `usize`, non-decreasing
+    /// arrivals, deadlines after arrivals.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::BTreeSet::new();
         let mut last_arrival = f64::NEG_INFINITY;
@@ -339,6 +344,16 @@ impl Workload {
                 return Err(format!(
                     "request {}: num_arrays and array_len must be positive",
                     r.id
+                ));
+            }
+            let bytes = r
+                .num_arrays
+                .checked_mul(r.array_len)
+                .and_then(|elems| elems.checked_mul(std::mem::size_of::<f32>()));
+            if bytes.is_none() {
+                return Err(format!(
+                    "request {}: {} arrays of {} elements overflow the payload size",
+                    r.id, r.num_arrays, r.array_len
                 ));
             }
             if r.arrival_ms < last_arrival {
@@ -568,6 +583,31 @@ mod tests {
         });
         w.requests[0].deadline_ms = w.requests[0].arrival_ms;
         assert!(w.validate().unwrap_err().contains("deadline"));
+    }
+
+    #[test]
+    fn validate_rejects_payloads_whose_size_overflows() {
+        let mut w = Workload::generate(&WorkloadConfig {
+            requests: 1,
+            ..WorkloadConfig::default()
+        });
+        let r = &mut w.requests[0];
+        // Elements overflow.
+        r.num_arrays = usize::MAX;
+        assert!(w.validate().unwrap_err().contains("overflow"));
+        assert_eq!(
+            w.requests[0].data_bytes(),
+            u64::MAX,
+            "saturates, never wraps"
+        );
+        // Elements fit, bytes do not.
+        let r = &mut w.requests[0];
+        r.num_arrays = usize::MAX / 4 + 1;
+        r.array_len = 1;
+        assert!(w.validate().unwrap_err().contains("overflow"));
+        // The largest payload whose byte count fits is well formed.
+        w.requests[0].num_arrays = usize::MAX / 4;
+        w.validate().unwrap();
     }
 
     #[test]

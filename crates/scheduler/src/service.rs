@@ -25,8 +25,15 @@
 //!    [`array_sort::cpu_ref`]; overload sheds the lowest-priority
 //!    queued request first, always with an explicit record.
 //!
-//! Device attempts run inside `sched/req-N/attempt-1` spans, retries
-//! inside `recovery/req-N/attempt-K`, host fallbacks leave a
+//! Every dispatch is a *group* of 1..k requests run by one routine,
+//! and every device attempt one launch plan run by one function: a
+//! request dispatched alone is a group of one, a coalesced mega-batch a
+//! larger group, and overlapped dispatch the streamed plan of that same
+//! attempt (see `SortService::dispatch`).
+//!
+//! Device attempts run inside `sched/req-N/attempt-1` spans
+//! (`sched/mega-N/…` for a group led by request N), retries inside
+//! `recovery/req-N/attempt-K`, host fallbacks leave a
 //! `recovery/req-N/cpu-fallback` marker — all through the existing
 //! [`gpu_sim::trace`] pipeline, so a pool trace shows the whole story.
 //!
@@ -54,14 +61,14 @@
 //!   host-only, escalating immediately and recovering with hysteresis,
 //!   every transition a `sched/degrade/*` span and a metric.
 
-use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use array_sort::{
-    checkpointed_attempt, cpu_ref, ArraySortConfig, FailedAttempt, FusedSort, FusedStrategy,
-    GpuArraySort, SplitterPolicy,
+    checkpointed_attempt, cpu_ref, ArraySortConfig, FusedSort, FusedStrategy, GpuArraySort,
+    SplitterPolicy,
 };
-use gpu_sim::FaultPlan;
+use gpu_sim::{FaultPlan, Gpu, SimResult, StreamId};
 use support::ChaCha8Rng;
 
 use telemetry::{Registry, Snapshot};
@@ -116,10 +123,10 @@ pub struct SchedulerConfig {
     /// Coalescing admission window, virtual ms: freshly admitted
     /// requests are held up to this long (never past the last instant
     /// their deadline stays feasible) so compatible peers can merge into
-    /// one mega-batch launch. `0.0` (the default) disables coalescing —
-    /// the legacy one-request-per-launch path, byte-identical to
-    /// pre-coalescing runs. Negative means *auto*: the cost model picks
-    /// the window from the pool ([`CostModel::auto_batch_window_ms`]).
+    /// one mega-batch launch. `0.0` (the default) disables coalescing:
+    /// every dispatch is a group of one. Negative means *auto*: the cost
+    /// model picks the window from the pool
+    /// ([`CostModel::auto_batch_window_ms`]).
     pub batch_window_ms: f64,
     /// Capacity of the content-hash result cache, in entries. `0` (the
     /// default) disables the cache.
@@ -168,16 +175,116 @@ struct Pending {
     cache_key: Option<CacheKey>,
 }
 
+/// Scheduling order: priority first, then earliest deadline, then id.
+fn sched_order(a: &Pending, b: &Pending) -> Ordering {
+    b.req
+        .priority
+        .cmp(&a.req.priority)
+        .then(a.req.deadline_ms.total_cmp(&b.req.deadline_ms))
+        .then(a.req.id.cmp(&b.req.id))
+}
+
+/// The three GAS pipelines built under one splitter policy.
+struct Pipelines {
+    three_kernel: GpuArraySort,
+    fused: FusedSort,
+    warp: FusedSort,
+}
+
+impl Pipelines {
+    fn new(policy: SplitterPolicy) -> Result<Self, String> {
+        let cfg = ArraySortConfig {
+            splitter_policy: policy,
+            ..Default::default()
+        };
+        let build = |e: array_sort::ConfigError| format!("{} sorter config: {e:?}", policy.label());
+        Ok(Self {
+            three_kernel: GpuArraySort::with_config(cfg.clone()).map_err(build)?,
+            fused: FusedSort::with_config(cfg.clone()).map_err(build)?,
+            warp: FusedSort::with_config_and_strategy(cfg, FusedStrategy::WarpConflictFree)
+                .map_err(build)?,
+        })
+    }
+
+    fn config(&self) -> &ArraySortConfig {
+        self.three_kernel.config()
+    }
+
+    /// Sorts a host batch with `variant`; returns the bucket overflows
+    /// the sort observed.
+    fn sort(
+        &self,
+        variant: GasVariant,
+        g: &mut Gpu,
+        data: &mut [f32],
+        array_len: usize,
+    ) -> SimResult<u64> {
+        Ok(match variant {
+            GasVariant::ThreeKernel => self.three_kernel.sort(g, data, array_len)?.overflow,
+            GasVariant::Fused => self.fused.sort(g, data, array_len)?.overflow,
+            GasVariant::Warp => self.warp.sort(g, data, array_len)?.overflow,
+        }
+        .overflowed_buckets)
+    }
+
+    /// Sorts `data` as one launch per segment (array counts, in payload
+    /// order) through the device's upload/compute/download streams:
+    /// segment k+1's upload proceeds under segment k's kernel while
+    /// segment k−1's download drains, chained with events. Ends on the
+    /// default stream on every exit path, which quiesces the three
+    /// streams — so the attempt's bill is the true end-to-end wall time
+    /// of the overlapped launch, not an accounting artifact.
+    fn sort_streamed(
+        &self,
+        variant: GasVariant,
+        g: &mut Gpu,
+        data: &mut [f32],
+        array_len: usize,
+        segments: &[usize],
+        [up, comp, down]: [StreamId; 3],
+    ) -> SimResult<u64> {
+        let mut run = || -> SimResult<u64> {
+            let mut overflows = 0;
+            let mut offset = 0usize;
+            for &num in segments {
+                let len = num * array_len;
+                let chunk = &mut data[offset..offset + len];
+                offset += len;
+                g.set_stream(Some(up));
+                let mut buf = g.alloc::<f32>(len)?;
+                g.htod_into(chunk, &mut buf)?;
+                let e_up = g.record_event(up);
+                g.stream_wait_event(comp, e_up);
+                g.set_stream(Some(comp));
+                let geom = self.three_kernel.geometry(num, array_len);
+                overflows += match variant {
+                    GasVariant::ThreeKernel => {
+                        self.three_kernel.sort_device(g, &buf, &geom)?.overflow
+                    }
+                    GasVariant::Fused => self.fused.sort_device(g, &buf, &geom)?.1,
+                    GasVariant::Warp => self.warp.sort_device(g, &buf, &geom)?.1,
+                }
+                .overflowed_buckets;
+                let e_k = g.record_event(comp);
+                g.stream_wait_event(down, e_k);
+                g.set_stream(Some(down));
+                g.dtoh_into(&mut buf, chunk)?;
+            }
+            Ok(overflows)
+        };
+        let result = run();
+        g.set_stream(None);
+        result
+    }
+}
+
 /// The service: a device pool plus the scheduling state.
 pub struct SortService {
     cfg: SchedulerConfig,
     pool: DevicePool,
-    sorter: GpuArraySort,
-    fused: FusedSort,
-    warp: FusedSort,
-    det_sorter: GpuArraySort,
-    det_fused: FusedSort,
-    det_warp: FusedSort,
+    /// The GAS pipelines per splitter policy, indexed by
+    /// `SplitterPolicy as usize` (see [`SortService::pipelines`]).
+    pipelines: [Pipelines; 2],
     rng: ChaCha8Rng,
     registry: Registry,
     ladder: DegradationLadder,
@@ -188,20 +295,11 @@ pub struct SortService {
     window_ms: f64,
 }
 
-/// One device attempt's raw outcome, before watchdog and hedge-race
-/// routing.
-struct AttemptRun {
-    result: Result<(), FailedAttempt>,
-    end_ms: f64,
-    predicted_ms: f64,
-    variant_label: &'static str,
-    overflows: u64,
-}
-
-/// An attempt after watchdog assessment: what goes into the record,
-/// plus whether its result is still in the running.
-struct Assessed {
-    di: usize,
+/// One launch on one device after watchdog assessment and its device
+/// side effects: what goes into the attempt record, plus the sorted
+/// payload should it win.
+struct Launch {
+    device: usize,
     hedge: bool,
     end_ms: f64,
     error: Option<String>,
@@ -209,8 +307,31 @@ struct Assessed {
     cancelled: Option<String>,
     predicted_ms: f64,
     variant: &'static str,
-    viable: bool,
+    /// Bucket overflows the sort observed (GAS variants only).
     overflows: u64,
+    output: Vec<f32>,
+}
+
+impl Launch {
+    /// Still in the running: neither failed nor cancelled.
+    fn viable(&self) -> bool {
+        self.error.is_none() && self.cancelled.is_none()
+    }
+
+    fn record(&self, start_ms: f64, coalesced: usize) -> AttemptRecord {
+        AttemptRecord {
+            device: self.device,
+            start_ms,
+            end_ms: self.end_ms,
+            error: self.error.clone(),
+            transient: self.transient,
+            predicted_ms: self.predicted_ms,
+            variant: self.variant.to_string(),
+            hedge: self.hedge,
+            cancelled: self.cancelled.clone(),
+            coalesced,
+        }
+    }
 }
 
 impl SortService {
@@ -223,28 +344,25 @@ impl SortService {
     ) -> Result<Self, String> {
         let pool = DevicePool::new(specs, cfg.breaker, faults)?;
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let det_cfg = ArraySortConfig {
-            splitter_policy: SplitterPolicy::Deterministic,
-            ..Default::default()
-        };
-        let build = |e: array_sort::ConfigError| format!("deterministic sorter config: {e:?}");
         let degrade = cfg.degrade;
         Ok(Self {
             cfg,
             pool,
-            sorter: GpuArraySort::new(),
-            fused: FusedSort::new(),
-            warp: FusedSort::warp(),
-            det_sorter: GpuArraySort::with_config(det_cfg.clone()).map_err(build)?,
-            det_fused: FusedSort::with_config(det_cfg.clone()).map_err(build)?,
-            det_warp: FusedSort::with_config_and_strategy(det_cfg, FusedStrategy::WarpConflictFree)
-                .map_err(build)?,
+            pipelines: [
+                Pipelines::new(SplitterPolicy::RegularSample)?,
+                Pipelines::new(SplitterPolicy::Deterministic)?,
+            ],
             rng,
             registry: Registry::new(),
             ladder: DegradationLadder::new(degrade),
             cache: None,
             window_ms: 0.0,
         })
+    }
+
+    /// The GAS pipelines a request under `policy` runs on.
+    fn pipelines(&self, policy: SplitterPolicy) -> &Pipelines {
+        &self.pipelines[policy as usize]
     }
 
     /// The device pool — for trace export after a run.
@@ -280,9 +398,8 @@ impl SortService {
         self.window_ms = if self.cfg.batch_window_ms < 0.0 {
             let specs: Vec<gpu_sim::DeviceSpec> =
                 self.pool.devices.iter().map(|d| d.spec().clone()).collect();
-            self.cfg
-                .cost
-                .auto_batch_window_ms(&specs, self.sorter.config())
+            let cfg = self.pipelines(SplitterPolicy::RegularSample).config();
+            self.cfg.cost.auto_batch_window_ms(&specs, cfg)
         } else {
             self.cfg.batch_window_ms
         };
@@ -307,15 +424,9 @@ impl SortService {
             self.update_ladder(now, queue.len());
 
             if let Some((qi, di)) = self.pick(&queue, now) {
-                let p = queue.remove(qi);
-                if self.window_ms > 0.0 {
-                    let members = self.assemble_group(&p, di, now, &mut queue);
-                    if !members.is_empty() {
-                        self.execute_group(p, members, di, now, &mut queue, &mut records);
-                        continue;
-                    }
-                }
-                self.execute(p, di, now, &mut queue, &mut records);
+                let leader = queue.remove(qi);
+                let group = self.assemble_group(leader, di, now, &mut queue);
+                self.dispatch(group, di, now, &mut queue, &mut records);
                 continue;
             }
 
@@ -362,13 +473,15 @@ impl SortService {
                         &mut records,
                     );
                 } else {
-                    records.push(Self::dropped(
-                        p.req,
+                    records.push(Self::record(
+                        &p.req,
                         p.attempts,
                         Outcome::Shed {
                             reason: "no healthy device available and host cannot meet deadline"
                                 .into(),
                         },
+                        None,
+                        None,
                     ));
                 }
             }
@@ -387,13 +500,14 @@ impl SortService {
         queue: &mut Vec<Pending>,
         records: &mut Vec<RequestRecord>,
     ) {
+        let refuse =
+            |req: &SortRequest, outcome| Self::record(req, Vec::new(), outcome, None, None);
         // L3+: the ladder sheds low-priority work at the door, before
         // any batch generation is spent on it.
         if self.ladder.enabled() && self.ladder.level() >= 3 && req.priority == Priority::Low {
             let level = self.ladder.level();
-            records.push(Self::dropped(
-                req,
-                Vec::new(),
+            records.push(refuse(
+                &req,
                 Outcome::Shed {
                     reason: format!("degradation L{level}: low-priority shed at admission"),
                 },
@@ -415,13 +529,30 @@ impl SortService {
             && !fits_somewhere
             && now + host_ms > req.deadline_ms + EPS
         {
-            records.push(Self::dropped(
-                req,
-                Vec::new(),
+            records.push(refuse(
+                &req,
                 Outcome::Rejected {
                     reason: NO_FIT_NO_HOST.into(),
                 },
             ));
+            return;
+        }
+        // A payload larger than every pool device's memory is refused
+        // before its bytes exist too, cache on or off: generating it
+        // could exhaust host memory.
+        let largest = self
+            .pool
+            .devices
+            .iter()
+            .map(|d| d.spec().global_mem_bytes)
+            .max()
+            .unwrap_or(0);
+        if req.data_bytes() > largest {
+            let reason = format!(
+                "payload of {} bytes exceeds the largest pool device's {largest} bytes of memory",
+                req.data_bytes()
+            );
+            records.push(refuse(&req, Outcome::Rejected { reason }));
             return;
         }
         let batch = datagen::ArrayBatch::generate(
@@ -450,50 +581,38 @@ impl SortService {
             );
             if let Some(sorted) = cache.lookup(&key) {
                 let verified = bits_equal(sorted, &oracle);
-                records.push(RequestRecord {
-                    id: req.id,
-                    priority: req.priority,
-                    algorithm: req.algorithm,
-                    num_arrays: req.num_arrays,
-                    array_len: req.array_len,
-                    arrival_ms: req.arrival_ms,
-                    deadline_ms: req.deadline_ms,
-                    attempts: Vec::new(),
-                    outcome: Outcome::CacheHit,
-                    completion_ms: Some(now),
-                    deadline_met: Some(now <= req.deadline_ms + EPS),
-                    verified: Some(verified),
-                });
+                records.push(Self::record(
+                    &req,
+                    Vec::new(),
+                    Outcome::CacheHit,
+                    Some(now),
+                    Some(verified),
+                ));
                 return;
             }
             cache_key = Some(key);
         }
+        let host_feasible = now + host_ms <= req.deadline_ms + EPS;
+        let mut p = Pending {
+            req,
+            data,
+            oracle,
+            est_ms: host_ms,
+            attempts_made: 0,
+            attempts: Vec::new(),
+            not_before_ms: now,
+            last_device: None,
+            cache_key,
+        };
 
         // L4: host-only serving — the pool is gone; don't even consult
         // it.
         if host_only {
-            if now + host_ms <= req.deadline_ms + EPS {
-                let pending = Pending {
-                    req,
-                    data,
-                    oracle,
-                    est_ms: host_ms,
-                    attempts_made: 0,
-                    attempts: Vec::new(),
-                    not_before_ms: now,
-                    last_device: None,
-                    cache_key,
-                };
-                self.resolve_host(
-                    pending,
-                    now,
-                    "degradation L4: host-only serving".into(),
-                    records,
-                );
+            if host_feasible {
+                self.resolve_host(p, now, "degradation L4: host-only serving".into(), records);
             } else {
-                records.push(Self::dropped(
-                    req,
-                    Vec::new(),
+                records.push(refuse(
+                    &p.req,
                     Outcome::Shed {
                         reason: "degradation L4: host-only and host cannot meet deadline".into(),
                     },
@@ -503,28 +622,12 @@ impl SortService {
         }
 
         if !fits_somewhere {
-            let pending = Pending {
-                req,
-                data,
-                oracle,
-                est_ms: host_ms,
-                attempts_made: 0,
-                attempts: Vec::new(),
-                not_before_ms: now,
-                last_device: None,
-                cache_key,
-            };
-            if now + host_ms <= pending.req.deadline_ms + EPS {
-                self.resolve_host(
-                    pending,
-                    now,
-                    "batch fits no healthy pool device; served on host".into(),
-                    records,
-                );
+            if host_feasible {
+                let reason = "batch fits no healthy pool device; served on host".into();
+                self.resolve_host(p, now, reason, records);
             } else {
-                records.push(Self::dropped(
-                    pending.req,
-                    Vec::new(),
+                records.push(refuse(
+                    &p.req,
                     Outcome::Rejected {
                         reason: NO_FIT_NO_HOST.into(),
                     },
@@ -539,8 +642,8 @@ impl SortService {
             .pool
             .devices
             .iter()
-            .filter(|d| !d.breaker.is_blacklisted() && self.fits(d.spec(), &req))
-            .map(|d| self.projected_ms(d.spec(), &req))
+            .filter(|d| !d.breaker.is_blacklisted() && self.fits(d.spec(), &p.req))
+            .map(|d| self.projected_ms(d.spec(), &p.req))
             .fold(f64::INFINITY, f64::min);
         let healthy = self.pool.healthy_count().max(1) as f64;
         let backlog: f64 = queue.iter().map(|p| p.est_ms).sum::<f64>()
@@ -552,13 +655,13 @@ impl SortService {
                 .map(|d| (d.busy_until_ms - now).max(0.0))
                 .sum::<f64>();
         let projected = now + backlog / healthy + est;
-        if projected > req.deadline_ms + EPS {
+        if projected > p.req.deadline_ms + EPS {
             let reason = format!(
                 "projected completion {projected:.3} ms exceeds deadline {:.3} ms \
                  (queue backlog {backlog:.3} ms over {healthy} healthy devices)",
-                req.deadline_ms
+                p.req.deadline_ms
             );
-            records.push(Self::dropped(req, Vec::new(), Outcome::Rejected { reason }));
+            records.push(refuse(&p.req, Outcome::Rejected { reason }));
             return;
         }
 
@@ -566,22 +669,11 @@ impl SortService {
         // but never past the last instant its deadline stays feasible —
         // so compatible peers arriving shortly after can merge into one
         // launch.
-        let not_before_ms = if self.window_ms > 0.0 {
-            coalesce::hold_until(now, self.window_ms, req.deadline_ms, est)
-        } else {
-            now
-        };
-        queue.push(Pending {
-            req,
-            data,
-            oracle,
-            est_ms: est,
-            attempts_made: 0,
-            attempts: Vec::new(),
-            not_before_ms,
-            last_device: None,
-            cache_key,
-        });
+        if self.window_ms > 0.0 {
+            p.not_before_ms = coalesce::hold_until(now, self.window_ms, p.req.deadline_ms, est);
+        }
+        p.est_ms = est;
+        queue.push(p);
 
         // Overload: shed lowest priority first (ties: latest deadline,
         // then newest). A victim whose deadline the host can still meet
@@ -611,14 +703,16 @@ impl SortService {
                     records,
                 );
             } else {
-                records.push(Self::dropped(
-                    victim.req,
+                records.push(Self::record(
+                    &victim.req,
                     victim.attempts,
                     Outcome::Shed {
                         reason: format!(
                             "queue overflow at depth {depth}: lowest-priority request shed"
                         ),
                     },
+                    None,
+                    None,
                 ));
             }
         }
@@ -626,39 +720,45 @@ impl SortService {
 
     /// Picks the next (request, device) pair dispatchable at `now`:
     /// requests in priority-then-EDF order, each offered the healthy
-    /// idle device with the lowest estimate (exact ties broken by the
-    /// seeded RNG, preferring a device other than the last one tried).
+    /// idle device with the lowest estimate (see
+    /// [`SortService::pick_device`]), preferring a device other than the
+    /// last one tried.
     fn pick(&mut self, queue: &[Pending], now: f64) -> Option<(usize, usize)> {
         let mut order: Vec<usize> = (0..queue.len())
             .filter(|&i| queue[i].not_before_ms <= now + EPS)
             .collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&queue[a], &queue[b]);
-            pb.req
-                .priority
-                .cmp(&pa.req.priority)
-                .then(pa.req.deadline_ms.total_cmp(&pb.req.deadline_ms))
-                .then(pa.req.id.cmp(&pb.req.id))
-        });
+        order.sort_by(|&a, &b| sched_order(&queue[a], &queue[b]));
         for qi in order {
-            if let Some(di) = self.pick_device(&queue[qi], now) {
+            let p = &queue[qi];
+            if let Some(di) = self.pick_device(&p.req, p.last_device, None, now) {
                 return Some((qi, di));
             }
         }
         None
     }
 
-    fn pick_device(&mut self, p: &Pending, now: f64) -> Option<usize> {
+    /// The healthy idle device with the lowest estimate for `req`, exact
+    /// ties broken by the seeded RNG. `avoid` (the device a retry just
+    /// failed on) loses ties; `exclude` (a hedge's primary) is never
+    /// picked. `None` means no device is free.
+    fn pick_device(
+        &mut self,
+        req: &SortRequest,
+        avoid: Option<usize>,
+        exclude: Option<usize>,
+        now: f64,
+    ) -> Option<usize> {
         let mut best: Vec<usize> = Vec::new();
         let mut best_est = f64::INFINITY;
         for d in &self.pool.devices {
-            if d.busy_until_ms > now + EPS
+            if Some(d.index) == exclude
+                || d.busy_until_ms > now + EPS
                 || !d.breaker.accepts(now)
-                || !self.fits(d.spec(), &p.req)
+                || !self.fits(d.spec(), req)
             {
                 continue;
             }
-            let est = self.projected_ms(d.spec(), &p.req);
+            let est = self.projected_ms(d.spec(), req);
             if est < best_est {
                 best_est = est;
                 best = vec![d.index];
@@ -666,10 +766,9 @@ impl SortService {
                 best.push(d.index);
             }
         }
-        // Re-dispatch preference: not the device that just failed us.
         if best.len() > 1 {
-            if let Some(last) = p.last_device {
-                best.retain(|&i| i != last);
+            if let Some(avoid) = avoid {
+                best.retain(|&i| i != avoid);
             }
         }
         match best.len() {
@@ -685,7 +784,10 @@ impl SortService {
             // Fused/warp capacity is bounded by the three-kernel plan
             // (their fallback), so one check covers every GAS variant.
             Algorithm::Gas | Algorithm::GasFused | Algorithm::GasWarp => {
-                self.sorter.max_arrays(spec, req.array_len) >= req.num_arrays as u64
+                self.pipelines(SplitterPolicy::RegularSample)
+                    .three_kernel
+                    .max_arrays(spec, req.array_len)
+                    >= req.num_arrays as u64
             }
             Algorithm::Sta => {
                 thrust_sim::sta::max_arrays(spec, req.array_len as u64) >= req.num_arrays as u64
@@ -693,39 +795,42 @@ impl SortService {
         }
     }
 
-    /// Cost-model service projection for one request on one device. GAS
-    /// requests are priced at the cheaper of the two pipeline variants —
-    /// the same choice [`SortService::execute`] dispatches — under the
-    /// request's splitter policy (deterministic selection costs more up
-    /// front, and the model says so).
-    fn projected_ms(&self, spec: &gpu_sim::DeviceSpec, req: &SortRequest) -> f64 {
-        let cfg = if req.splitters == SplitterPolicy::Deterministic {
-            self.det_sorter.config()
-        } else {
-            self.sorter.config()
+    /// The pipeline a request runs on `spec`, and what the cost model
+    /// says that pairing bills under the request's splitter policy
+    /// (deterministic selection costs more up front, and the model says
+    /// so). `Gas` requests — and, with `force_cheapest`, the forced
+    /// `GasFused`/`GasWarp` ones too — take the variant priced cheapest;
+    /// otherwise `GasFused`/`GasWarp` force their pipeline (which still
+    /// falls back internally when the arrays exceed its shared-memory
+    /// layout). STA is priced at the three-kernel projection.
+    fn choose_variant(
+        &self,
+        spec: &gpu_sim::DeviceSpec,
+        req: &SortRequest,
+        force_cheapest: bool,
+    ) -> (GasVariant, f64) {
+        let cost = &self.cfg.cost;
+        let cfg = self.pipelines(req.splitters).config();
+        let (n, len) = (req.num_arrays, req.array_len);
+        let variant = match req.algorithm {
+            Algorithm::GasFused if !force_cheapest => GasVariant::Fused,
+            Algorithm::GasWarp if !force_cheapest => GasVariant::Warp,
+            Algorithm::Sta => GasVariant::ThreeKernel,
+            _ => return cost.best_gas_variant(spec, cfg, n, len),
         };
-        match req.algorithm {
-            Algorithm::Gas => {
-                self.cfg
-                    .cost
-                    .best_gas_variant(spec, cfg, req.num_arrays, req.array_len)
-                    .1
-            }
-            Algorithm::GasFused => {
-                self.cfg
-                    .cost
-                    .device_ms_fused(spec, cfg, req.num_arrays, req.array_len)
-            }
-            Algorithm::GasWarp => {
-                self.cfg
-                    .cost
-                    .device_ms_warp(spec, cfg, req.num_arrays, req.array_len)
-            }
-            Algorithm::Sta => self
-                .cfg
-                .cost
-                .device_ms(spec, cfg, req.num_arrays, req.array_len),
-        }
+        let ms = match variant {
+            GasVariant::ThreeKernel => cost.device_ms(spec, cfg, n, len),
+            GasVariant::Fused => cost.device_ms_fused(spec, cfg, n, len),
+            GasVariant::Warp => cost.device_ms_warp(spec, cfg, n, len),
+        };
+        (variant, ms)
+    }
+
+    /// Cost-model service projection for one request on one device: the
+    /// price of the pipeline [`SortService::attempt`] dispatches there
+    /// at ladder level L0.
+    fn projected_ms(&self, spec: &gpu_sim::DeviceSpec, req: &SortRequest) -> f64 {
+        self.choose_variant(spec, req, false).1
     }
 
     /// The attempt watchdog's budget for one (device, request) pairing:
@@ -739,48 +844,14 @@ impl SortService {
         if self.cfg.timeout_slack <= 0.0 || req.algorithm == Algorithm::Sta {
             return None;
         }
-        let cfg = if req.splitters == SplitterPolicy::Deterministic {
-            self.det_sorter.config()
-        } else {
-            self.sorter.config()
-        };
         Some(
             self.cfg.cost.device_ms_worst(
                 self.pool.devices[di].spec(),
-                cfg,
+                self.pipelines(req.splitters).config(),
                 req.num_arrays,
                 req.array_len,
             ) * self.cfg.timeout_slack,
         )
-    }
-
-    /// Picks a second idle device for a hedge attempt: the same policy as
-    /// [`SortService::pick_device`] but never the primary. `None` means
-    /// no hedge — the request proceeds unhedged rather than waiting.
-    fn pick_hedge_device(&mut self, p: &Pending, primary: usize, now: f64) -> Option<usize> {
-        let mut best: Vec<usize> = Vec::new();
-        let mut best_est = f64::INFINITY;
-        for d in &self.pool.devices {
-            if d.index == primary
-                || d.busy_until_ms > now + EPS
-                || !d.breaker.accepts(now)
-                || !self.fits(d.spec(), &p.req)
-            {
-                continue;
-            }
-            let est = self.projected_ms(d.spec(), &p.req);
-            if est < best_est {
-                best_est = est;
-                best = vec![d.index];
-            } else if est == best_est {
-                best.push(d.index);
-            }
-        }
-        match best.len() {
-            0 => None,
-            1 => Some(best[0]),
-            n => Some(best[self.rng.gen_range(0..n)]),
-        }
     }
 
     /// Feeds the ladder the current pool and queue pressure. A
@@ -809,367 +880,126 @@ impl SortService {
         }
     }
 
-    /// Runs one checkpointed sort attempt on device `di` — breaker
-    /// dispatch accounting, variant selection, billing — and returns the
-    /// raw outcome. Success/failure routing, the watchdog and the hedge
-    /// race all happen in [`SortService::execute`].
-    fn device_attempt(
+    /// Runs one checkpointed launch plan on device `di` over a copy of
+    /// `checkpoint`: `req` describes the whole payload (a group's merged
+    /// shape) and `segments` its members' array counts, in payload
+    /// order. The plan is one launch over the whole payload or — with
+    /// [`SchedulerConfig::overlap`] on, two or more members and a GAS
+    /// algorithm — one streamed launch per member
+    /// ([`Pipelines::sort_streamed`]). The outcome is then judged by the
+    /// watchdog, and its device side effects (busy time, breaker,
+    /// failure counters, a `watchdog-cancel` marker) are applied.
+    fn attempt(
         &mut self,
         req: &SortRequest,
-        data: &mut [f32],
+        segments: &[usize],
         checkpoint: &[f32],
         di: usize,
         now: f64,
         span_name: &str,
-    ) -> AttemptRun {
-        let array_len = req.array_len;
-        let cost = &self.cfg.cost;
-        // The request's splitter policy selects the sorter family; the
-        // deterministic instances differ only in `splitter_policy`.
-        let deterministic = req.splitters == SplitterPolicy::Deterministic;
-        let sorter = if deterministic {
-            &self.det_sorter
-        } else {
-            &self.sorter
-        };
-        let fused = if deterministic {
-            &self.det_fused
-        } else {
-            &self.fused
-        };
-        let warp = if deterministic {
-            &self.det_warp
-        } else {
-            &self.warp
-        };
-        // Bucket overflows observed by the attempt (GAS variants only):
-        // stashed out of the checkpointed closure for the metric below.
-        let overflows = Cell::new(0u64);
+    ) -> Launch {
         // L2+: even forced-variant GAS requests run whatever pipeline the
         // cost model prices cheapest — quality traded for headroom.
         let force_cheapest = self.ladder.enabled() && self.ladder.level() >= 2;
+        // The prediction is the serial estimate for the whole payload:
+        // scoring a streamed bill against it makes the overlap win show
+        // up as a negative relative error in the
+        // `gas_model_accuracy_rel_err` metric family, honestly.
+        let (variant, predicted_ms) =
+            self.choose_variant(self.pool.devices[di].spec(), req, force_cheapest);
+        let sta = req.algorithm == Algorithm::Sta;
+        let streams = (self.cfg.overlap && segments.len() >= 2 && !sta)
+            .then(|| self.pool.devices[di].overlap_streams());
+        let budget = self.watchdog_budget_ms(di, req);
+        // Indexed directly, not via `pipelines()`: a field borrow stays
+        // disjoint from the device borrow below.
+        let pipelines = &self.pipelines[req.splitters as usize];
+        let array_len = req.array_len;
         let dev = &mut self.pool.devices[di];
-        // `Gas` requests run whichever pipeline variant the cost model
-        // projected cheaper on this device; `GasFused`/`GasWarp` force
-        // their pipeline (which still falls back internally when the
-        // arrays exceed its shared-memory layout).
-        let variant = match req.algorithm {
-            Algorithm::Gas => {
-                cost.best_gas_variant(dev.spec(), sorter.config(), req.num_arrays, array_len)
-                    .0
-            }
-            Algorithm::GasFused | Algorithm::GasWarp if force_cheapest => {
-                cost.best_gas_variant(dev.spec(), sorter.config(), req.num_arrays, array_len)
-                    .0
-            }
-            Algorithm::GasFused => GasVariant::Fused,
-            Algorithm::GasWarp => GasVariant::Warp,
-            Algorithm::Sta => GasVariant::ThreeKernel,
-        };
-        // What the cost model said this exact (device, pipeline) pairing
-        // would bill — compared post-hoc against the simulator's actual
-        // bill in the `gas_model_accuracy_rel_err` metric family.
-        let predicted_ms = match (req.algorithm, variant) {
-            (Algorithm::Sta, _) | (_, GasVariant::ThreeKernel) => {
-                cost.device_ms(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-            (_, GasVariant::Fused) => {
-                cost.device_ms_fused(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-            (_, GasVariant::Warp) => {
-                cost.device_ms_warp(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-        };
-        let variant_label = match req.algorithm {
-            Algorithm::Sta => "sta",
-            _ => variant.label(),
-        };
         dev.breaker.on_dispatch(now);
         let mark = dev.gpu.bill_mark();
-        let result = match (req.algorithm, variant) {
-            (Algorithm::Sta, _) => {
-                checkpointed_attempt(&mut dev.gpu, data, checkpoint, span_name, |g, d| {
-                    thrust_sim::sta::sort_arrays(g, d, array_len).map(|_| ())
-                })
-            }
-            (_, GasVariant::Warp) => {
-                checkpointed_attempt(&mut dev.gpu, data, checkpoint, span_name, |g, d| {
-                    warp.sort(g, d, array_len)
-                        .map(|s| overflows.set(s.overflow.overflowed_buckets))
-                })
-            }
-            (_, GasVariant::Fused) => {
-                checkpointed_attempt(&mut dev.gpu, data, checkpoint, span_name, |g, d| {
-                    fused
-                        .sort(g, d, array_len)
-                        .map(|s| overflows.set(s.overflow.overflowed_buckets))
-                })
-            }
-            (_, GasVariant::ThreeKernel) => {
-                checkpointed_attempt(&mut dev.gpu, data, checkpoint, span_name, |g, d| {
-                    sorter
-                        .sort(g, d, array_len)
-                        .map(|s| overflows.set(s.overflow.overflowed_buckets))
-                })
-            }
-        };
-        let end_ms = match &result {
-            Ok(()) => now + dev.gpu.billed_since(mark),
-            Err(failed) => now + failed.wasted_ms,
-        };
-        AttemptRun {
-            result,
-            end_ms,
-            predicted_ms,
-            variant_label,
-            overflows: overflows.get(),
-        }
-    }
-
-    /// Runs one scheduling round for a request: the primary device
-    /// attempt, a speculative hedge when the deadline is tight, the
-    /// watchdog check on each, the hedge race, and outcome routing.
-    fn execute(
-        &mut self,
-        mut p: Pending,
-        di: usize,
-        now: f64,
-        queue: &mut Vec<Pending>,
-        records: &mut Vec<RequestRecord>,
-    ) {
-        let attempt_no = p.attempts_made + 1;
-        let span_name = if attempt_no == 1 {
-            format!("sched/req-{}/attempt-1", p.req.id)
-        } else {
-            format!("recovery/req-{}/attempt-{attempt_no}", p.req.id)
-        };
-        let checkpoint = p.data.clone();
-
-        // Hedge decision: a High/Critical request whose deadline slack at
-        // dispatch is under the threshold gets a duplicate attempt on a
-        // second idle device — unless the ladder says hedging is the
-        // headroom we give up first (L1+).
-        let hedge_di = if self.cfg.hedge_slack_ms > 0.0
-            && !(self.ladder.enabled() && self.ladder.level() >= 1)
-            && p.req.priority >= Priority::High
-        {
-            let est = self.projected_ms(self.pool.devices[di].spec(), &p.req);
-            if p.req.deadline_ms - (now + est) < self.cfg.hedge_slack_ms {
-                self.pick_hedge_device(&p, di, now)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        // The primary runs on the request's buffer; the hedge on a clone
-        // of the checkpoint, so whichever result is kept can be adopted
-        // wholesale.
-        let primary = self.device_attempt(&p.req, &mut p.data, &checkpoint, di, now, &span_name);
-        let mut runs: Vec<(usize, bool, AttemptRun)> = vec![(di, false, primary)];
-        let mut hdata = Vec::new();
-        if let Some(hdi) = hedge_di {
-            hdata = checkpoint.clone();
-            let hspan = format!("sched/req-{}/hedge-{attempt_no}", p.req.id);
-            let run = self.device_attempt(&p.req, &mut hdata, &checkpoint, hdi, now, &hspan);
-            runs.push((hdi, true, run));
-        }
-
-        // Watchdog assessment: a successful attempt billed over budget is
-        // cancelled at its checkpoint; its result is no longer viable.
-        let mut evals: Vec<Assessed> = Vec::new();
-        for (adi, hedge, run) in runs {
-            let budget = self.watchdog_budget_ms(adi, &p.req);
-            let a = match &run.result {
-                Ok(()) => {
-                    let billed = run.end_ms - now;
-                    let cancelled = budget
-                        .filter(|b| billed > b + EPS)
-                        .map(|b| format!("watchdog: billed {billed:.3} ms over budget {b:.3} ms"));
-                    let viable = cancelled.is_none();
-                    Assessed {
-                        di: adi,
-                        hedge,
-                        end_ms: run.end_ms,
-                        error: None,
-                        transient: false,
-                        cancelled,
-                        predicted_ms: run.predicted_ms,
-                        variant: run.variant_label,
-                        viable,
-                        overflows: run.overflows,
+        let mut output = checkpoint.to_vec();
+        let result =
+            checkpointed_attempt(&mut dev.gpu, &mut output, checkpoint, span_name, |g, d| {
+                match streams {
+                    Some(streams) => {
+                        pipelines.sort_streamed(variant, g, d, array_len, segments, streams)
                     }
+                    None if sta => thrust_sim::sta::sort_arrays(g, d, array_len).map(|_| 0),
+                    None => pipelines.sort(variant, g, d, array_len),
                 }
-                Err(failed) => Assessed {
-                    di: adi,
-                    hedge,
-                    end_ms: run.end_ms,
-                    error: Some(failed.error.to_string()),
-                    transient: failed.error.is_transient(),
-                    cancelled: None,
-                    predicted_ms: run.predicted_ms,
-                    variant: run.variant_label,
-                    viable: false,
-                    overflows: run.overflows,
-                },
-            };
-            evals.push(a);
-        }
-
-        // Device side effects, in dispatch order.
-        for a in &evals {
-            let dev = &mut self.pool.devices[a.di];
-            dev.busy_until_ms = a.end_ms;
-            if a.error.is_some() {
-                if a.transient {
-                    dev.failed_attempts += 1;
-                    dev.breaker.on_transient_failure(a.end_ms);
-                } else {
-                    dev.fatal_failures += 1;
-                    dev.breaker.on_fatal();
-                }
-            } else if a.cancelled.is_some() {
-                // Watchdog cancel: the device did finish, but too slowly
-                // to trust — treat it like a transient failure for health
-                // purposes and leave a marker in its trace.
-                dev.watchdog_cancels += 1;
-                dev.breaker.on_transient_failure(a.end_ms);
-                let g = &mut dev.gpu;
-                let span = g.begin_span(&format!("recovery/req-{}/watchdog-cancel", p.req.id));
-                g.end_span(span);
-            } else {
-                dev.breaker.on_success();
-            }
-        }
-
-        // The hedge race: earliest viable completion wins; exact ties go
-        // to the seeded RNG (drawn only on a genuine tie, so unhedged
-        // runs consume no extra randomness). The loser is cancelled.
-        let viable: Vec<usize> = evals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.viable)
-            .map(|(i, _)| i)
-            .collect();
-        let winner = match viable.len() {
-            0 => None,
-            1 => Some(viable[0]),
-            _ => {
-                let best = viable
-                    .iter()
-                    .map(|&i| evals[i].end_ms)
-                    .fold(f64::INFINITY, f64::min);
-                let tied: Vec<usize> = viable
-                    .iter()
-                    .copied()
-                    .filter(|&i| evals[i].end_ms == best)
-                    .collect();
-                if tied.len() > 1 {
-                    Some(tied[self.rng.gen_range(0..tied.len())])
-                } else {
-                    Some(tied[0])
-                }
-            }
+            });
+        let mut launch = Launch {
+            device: di,
+            hedge: false,
+            end_ms: now,
+            error: None,
+            transient: false,
+            cancelled: None,
+            predicted_ms,
+            variant: if sta { "sta" } else { variant.label() },
+            overflows: 0,
+            output,
         };
-        if let Some(wi) = winner {
-            let wdev = evals[wi].di;
-            for (i, a) in evals.iter_mut().enumerate() {
-                if i != wi && a.viable {
-                    a.viable = false;
-                    a.cancelled = Some(format!("hedge: lost to dev{wdev}"));
-                }
+        match result {
+            Ok(overflows) => {
+                launch.end_ms = now + dev.gpu.billed_since(mark);
+                let billed = launch.end_ms - now;
+                launch.overflows = overflows;
+                // Watchdog: a successful attempt billed over budget is
+                // cancelled at its checkpoint; its result is discarded.
+                launch.cancelled = budget
+                    .filter(|b| billed > b + EPS)
+                    .map(|b| format!("watchdog: billed {billed:.3} ms over budget {b:.3} ms"));
+            }
+            Err(failed) => {
+                launch.end_ms = now + failed.wasted_ms;
+                launch.error = Some(failed.error.to_string());
+                launch.transient = failed.error.is_transient();
             }
         }
-
-        // Adopt the winning buffer (or roll everything back: a primary
-        // the watchdog cancelled still holds its discarded result).
-        match winner {
-            Some(wi) if evals[wi].hedge => p.data = hdata,
-            Some(_) => {}
-            None => p.data.copy_from_slice(&checkpoint),
-        }
-
-        for a in &evals {
-            p.attempts.push(AttemptRecord {
-                device: a.di,
-                start_ms: now,
-                end_ms: a.end_ms,
-                error: a.error.clone(),
-                transient: a.transient,
-                predicted_ms: a.predicted_ms,
-                variant: a.variant.to_string(),
-                hedge: a.hedge,
-                cancelled: a.cancelled.clone(),
-                coalesced: 0,
-            });
-        }
-        p.attempts_made += evals.len() as u32;
-
-        if let Some(wi) = winner {
-            let a = &evals[wi];
-            let (wdi, end) = (a.di, a.end_ms);
-            self.pool.devices[wdi].completed += 1;
-            if a.overflows > 0 {
-                // Overflow is an observable event, never a silent slow
-                // path: surface the per-policy count in telemetry.
-                self.registry.add(
-                    "gas_bucket_overflows_total",
-                    &[("policy", p.req.splitters.label())],
-                    a.overflows as f64,
-                );
-            }
-            let verified = bits_equal(&p.data, &p.oracle);
-            if verified {
-                if let (Some(cache), Some(key)) = (self.cache.as_mut(), p.cache_key) {
-                    cache.insert(key, p.data.clone());
-                }
-            }
-            records.push(RequestRecord {
-                id: p.req.id,
-                priority: p.req.priority,
-                algorithm: p.req.algorithm,
-                num_arrays: p.req.num_arrays,
-                array_len: p.req.array_len,
-                arrival_ms: p.req.arrival_ms,
-                deadline_ms: p.req.deadline_ms,
-                attempts: p.attempts,
-                outcome: Outcome::Completed { device: wdi },
-                completion_ms: Some(end),
-                deadline_met: Some(end <= p.req.deadline_ms + EPS),
-                verified: Some(verified),
-            });
-        } else {
-            let end = evals.iter().map(|a| a.end_ms).fold(now, f64::max);
-            p.last_device = Some(di);
-            if p.attempts_made >= self.cfg.max_attempts.max(1) {
-                let reason = format!(
-                    "{} device attempts failed; degraded to host",
-                    p.attempts_made
-                );
-                self.resolve_host(p, end, reason, records);
+        dev.busy_until_ms = launch.end_ms;
+        if launch.error.is_some() {
+            if launch.transient {
+                dev.failed_attempts += 1;
+                dev.breaker.on_transient_failure(launch.end_ms);
             } else {
-                let backoff = self.cfg.backoff_base_ms * f64::powi(2.0, p.attempts_made as i32 - 1);
-                p.not_before_ms = end + backoff.max(EPS);
-                queue.push(p);
+                dev.fatal_failures += 1;
+                dev.breaker.on_fatal();
             }
+        } else if launch.cancelled.is_some() {
+            // Watchdog cancel: the device did finish, but too slowly to
+            // trust — treat it like a transient failure for health
+            // purposes and leave a marker in its trace.
+            dev.watchdog_cancels += 1;
+            dev.breaker.on_transient_failure(launch.end_ms);
+            let g = &mut dev.gpu;
+            let span = g.begin_span(&format!("recovery/req-{}/watchdog-cancel", req.id));
+            g.end_span(span);
+        } else {
+            dev.breaker.on_success();
         }
+        launch
     }
 
-    /// Collects queued requests that can ride along with `leader` in one
-    /// mega-batch launch on device `di`: same array length, algorithm
-    /// and splitter policy ([`coalesce::compatible`]), not serving a
-    /// retry backoff, and the merged batch must still fit the device.
-    /// Taken members are removed from the queue and returned in
-    /// scheduling order (priority, then EDF, then id) — the same order
-    /// decides who boards first when capacity runs out.
+    /// With coalescing on, collects queued requests that can ride along
+    /// with `leader` in one launch on device `di`: same array length,
+    /// algorithm and splitter policy ([`coalesce::compatible`]), not
+    /// serving a retry backoff, and the merged batch must still fit the
+    /// device. Returns the group, leader first and the taken members
+    /// after it in scheduling order — the same order decides who boards
+    /// first when capacity runs out. With coalescing off every group is
+    /// the leader alone.
     fn assemble_group(
-        &mut self,
-        leader: &Pending,
+        &self,
+        leader: Pending,
         di: usize,
         now: f64,
         queue: &mut Vec<Pending>,
     ) -> Vec<Pending> {
+        if self.window_ms <= 0.0 {
+            return vec![leader];
+        }
         let mut order: Vec<usize> = (0..queue.len())
             .filter(|&i| {
                 let m = &queue[i];
@@ -1177,20 +1007,13 @@ impl SortService {
                     && (m.attempts_made == 0 || m.not_before_ms <= now + EPS)
             })
             .collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&queue[a], &queue[b]);
-            pb.req
-                .priority
-                .cmp(&pa.req.priority)
-                .then(pa.req.deadline_ms.total_cmp(&pb.req.deadline_ms))
-                .then(pa.req.id.cmp(&pb.req.id))
-        });
-        let spec = self.pool.devices[di].spec().clone();
+        order.sort_by(|&a, &b| sched_order(&queue[a], &queue[b]));
+        let spec = self.pool.devices[di].spec();
         let mut total = leader.req.num_arrays;
         let mut picked = vec![false; queue.len()];
         for i in order {
             let widened = coalesce::merged_request(&leader.req, total + queue[i].req.num_arrays);
-            if self.fits(&spec, &widened) {
+            if self.fits(spec, &widened) {
                 total += queue[i].req.num_arrays;
                 picked[i] = true;
             }
@@ -1205,337 +1028,159 @@ impl SortService {
             }
         }
         *queue = rest;
-        members.sort_by(|a, b| {
-            b.req
-                .priority
-                .cmp(&a.req.priority)
-                .then(a.req.deadline_ms.total_cmp(&b.req.deadline_ms))
-                .then(a.req.id.cmp(&b.req.id))
-        });
+        members.sort_by(sched_order);
+        members.insert(0, leader);
         members
     }
 
-    /// Runs one coalesced mega-batch launch: the leader's and members'
-    /// payloads concatenated into a single batch, sorted by one device
-    /// attempt (streamed when [`SchedulerConfig::overlap`] is on), then
-    /// split back per request. Mega-batches never hedge — the launch is
-    /// already the throughput play. On failure only the leader burns an
-    /// attempt (one physical fault must stay one fault in the ledger);
-    /// members go back in the queue untouched.
-    fn execute_group(
+    /// Runs one scheduling round for a group of 1..k requests on device
+    /// `di`: their payloads concatenated into one batch, sorted by one
+    /// [`SortService::attempt`], then split back per request along the
+    /// segment seams (per-array independence makes the merged sort
+    /// bitwise equal to sorting each payload alone). The group's shape
+    /// sets every per-path rule:
+    ///
+    /// * a group of one is a plain request: its spans are
+    ///   `sched/req-N/…`, its attempts record `coalesced = 0`, and only
+    ///   it may hedge — a High/Critical request whose deadline slack at
+    ///   dispatch is under `hedge_slack_ms` races a duplicate attempt on
+    ///   a second idle device, first viable completion winning (exact
+    ///   ties to the seeded RNG) and the loser cancelled;
+    /// * a larger group is a mega-batch: spans `sched/mega-N/…`,
+    ///   `coalesced = k`, no hedge (the launch is already the
+    ///   throughput play), and only the leader's record carries the real
+    ///   prediction — members carry `predicted_ms = 0` copies so the
+    ///   cost model is scored once per physical launch.
+    ///
+    /// When no launch is viable only the leader burns the attempt (one
+    /// physical fault stays one record, reconciling 1:1 with the
+    /// injector log); members go back in the queue untouched, and the
+    /// leader retries with backoff or resolves on the host once its
+    /// budget is gone.
+    fn dispatch(
         &mut self,
-        mut leader: Pending,
-        members: Vec<Pending>,
+        group: Vec<Pending>,
         di: usize,
         now: f64,
         queue: &mut Vec<Pending>,
         records: &mut Vec<RequestRecord>,
     ) {
-        let group_size = 1 + members.len();
-        let total_arrays =
-            leader.req.num_arrays + members.iter().map(|m| m.req.num_arrays).sum::<usize>();
-        let synth = coalesce::merged_request(&leader.req, total_arrays);
+        let solo = group.len() == 1;
+        let coalesced = if solo { 0 } else { group.len() };
+        let leader = &group[0];
+        let id = leader.req.id;
+        let kind = if solo { "req" } else { "mega" };
         let attempt_no = leader.attempts_made + 1;
         let span_name = if attempt_no == 1 {
-            format!("sched/mega-{}/attempt-1", leader.req.id)
+            format!("sched/{kind}-{id}/attempt-1")
         } else {
-            format!("recovery/mega-{}/attempt-{attempt_no}", leader.req.id)
+            format!("recovery/{kind}-{id}/attempt-{attempt_no}")
         };
-        // Segment sizes in arrays — leader first, then members in
-        // scheduling order; the results are split back along the same
-        // seams. Per-array independence makes the merged sort bitwise
-        // equal to sorting each payload alone.
-        let mut segments: Vec<usize> = Vec::with_capacity(group_size);
-        segments.push(leader.req.num_arrays);
-        let mut merged = leader.data.clone();
-        for m in &members {
-            segments.push(m.req.num_arrays);
-            merged.extend_from_slice(&m.data);
-        }
-        let checkpoint = merged.clone();
-        let run = if self.cfg.overlap && synth.algorithm != Algorithm::Sta {
-            self.overlapped_attempt(
-                &synth,
-                &segments,
-                &mut merged,
-                &checkpoint,
-                di,
-                now,
-                &span_name,
-            )
-        } else {
-            self.device_attempt(&synth, &mut merged, &checkpoint, di, now, &span_name)
-        };
-        let end = run.end_ms;
-        let budget = self.watchdog_budget_ms(di, &synth);
-        let dev = &mut self.pool.devices[di];
-        dev.busy_until_ms = end;
-        match run.result {
-            Ok(()) => {
-                let billed = end - now;
-                let cancelled = budget
-                    .filter(|b| billed > b + EPS)
-                    .map(|b| format!("watchdog: billed {billed:.3} ms over budget {b:.3} ms"));
-                if let Some(reason) = cancelled {
-                    dev.watchdog_cancels += 1;
-                    dev.breaker.on_transient_failure(end);
-                    let g = &mut dev.gpu;
-                    let span =
-                        g.begin_span(&format!("recovery/req-{}/watchdog-cancel", leader.req.id));
-                    g.end_span(span);
-                    leader.attempts.push(AttemptRecord {
-                        device: di,
-                        start_ms: now,
-                        end_ms: end,
-                        error: None,
-                        transient: false,
-                        predicted_ms: run.predicted_ms,
-                        variant: run.variant_label.to_string(),
-                        hedge: false,
-                        cancelled: Some(reason),
-                        coalesced: group_size,
-                    });
-                    self.group_requeue(leader, members, di, end, queue, records);
-                    return;
-                }
-                dev.breaker.on_success();
-                dev.completed += group_size as u32;
-                if run.overflows > 0 {
-                    self.registry.add(
-                        "gas_bucket_overflows_total",
-                        &[("policy", leader.req.splitters.label())],
-                        run.overflows as f64,
-                    );
-                }
-                // Split the merged result back along the segment seams
-                // and resolve every rider. Only the leader's record
-                // carries the launch's real prediction; members carry
-                // `predicted_ms = 0` copies so the cost model is scored
-                // once per physical launch.
-                let mut offset = 0usize;
-                for (gi, mut p) in std::iter::once(leader).chain(members).enumerate() {
-                    let len = p.req.num_arrays * p.req.array_len;
-                    p.data.copy_from_slice(&merged[offset..offset + len]);
-                    offset += len;
-                    let verified = bits_equal(&p.data, &p.oracle);
-                    if verified {
-                        if let (Some(cache), Some(key)) = (self.cache.as_mut(), p.cache_key) {
-                            cache.insert(key, p.data.clone());
-                        }
-                    }
-                    p.attempts.push(AttemptRecord {
-                        device: di,
-                        start_ms: now,
-                        end_ms: end,
-                        error: None,
-                        transient: false,
-                        predicted_ms: if gi == 0 { run.predicted_ms } else { 0.0 },
-                        variant: run.variant_label.to_string(),
-                        hedge: false,
-                        cancelled: None,
-                        coalesced: group_size,
-                    });
-                    records.push(RequestRecord {
-                        id: p.req.id,
-                        priority: p.req.priority,
-                        algorithm: p.req.algorithm,
-                        num_arrays: p.req.num_arrays,
-                        array_len: p.req.array_len,
-                        arrival_ms: p.req.arrival_ms,
-                        deadline_ms: p.req.deadline_ms,
-                        attempts: p.attempts,
-                        outcome: Outcome::Completed { device: di },
-                        completion_ms: Some(end),
-                        deadline_met: Some(end <= p.req.deadline_ms + EPS),
-                        verified: Some(verified),
-                    });
-                }
-            }
-            Err(failed) => {
-                let transient = failed.error.is_transient();
-                if transient {
-                    dev.failed_attempts += 1;
-                    dev.breaker.on_transient_failure(end);
-                } else {
-                    dev.fatal_failures += 1;
-                    dev.breaker.on_fatal();
-                }
-                // One physical fault, one record: the leader alone
-                // carries the failed attempt, reconciling 1:1 with the
-                // injector log the invariants check.
-                leader.attempts.push(AttemptRecord {
-                    device: di,
-                    start_ms: now,
-                    end_ms: end,
-                    error: Some(failed.error.to_string()),
-                    transient,
-                    predicted_ms: run.predicted_ms,
-                    variant: run.variant_label.to_string(),
-                    hedge: false,
-                    cancelled: None,
-                    coalesced: group_size,
-                });
-                self.group_requeue(leader, members, di, end, queue, records);
-            }
-        }
-    }
+        let segments: Vec<usize> = group.iter().map(|p| p.req.num_arrays).collect();
+        let req = coalesce::merged_request(&leader.req, segments.iter().sum());
+        let checkpoint: Vec<f32> = group.iter().flat_map(|p| p.data.iter().copied()).collect();
 
-    /// Routes a failed (or watchdog-cancelled) mega-batch: members go
-    /// straight back to the queue with their payloads untouched, the
-    /// leader burns the attempt and retries with backoff — or resolves
-    /// on the host once its budget is gone.
-    fn group_requeue(
-        &mut self,
-        mut leader: Pending,
-        members: Vec<Pending>,
-        di: usize,
-        end: f64,
-        queue: &mut Vec<Pending>,
-        records: &mut Vec<RequestRecord>,
-    ) {
-        for m in members {
-            queue.push(m);
+        // Hedge decision — unless the ladder says hedging is the headroom
+        // we give up first (L1+).
+        let hedge = solo
+            && self.cfg.hedge_slack_ms > 0.0
+            && !(self.ladder.enabled() && self.ladder.level() >= 1)
+            && req.priority >= Priority::High
+            && req.deadline_ms - (now + self.projected_ms(self.pool.devices[di].spec(), &req))
+                < self.cfg.hedge_slack_ms;
+        let hedge_di = if hedge {
+            self.pick_device(&req, None, Some(di), now)
+        } else {
+            None
+        };
+
+        let mut launches = vec![self.attempt(&req, &segments, &checkpoint, di, now, &span_name)];
+        if let Some(hdi) = hedge_di {
+            let hspan = format!("sched/req-{id}/hedge-{attempt_no}");
+            let mut h = self.attempt(&req, &segments, &checkpoint, hdi, now, &hspan);
+            h.hedge = true;
+            launches.push(h);
         }
-        leader.attempts_made += 1;
-        leader.last_device = Some(di);
-        if leader.attempts_made >= self.cfg.max_attempts.max(1) {
-            let reason = format!(
-                "{} device attempts failed; degraded to host",
-                leader.attempts_made
+
+        // The race: earliest viable completion wins; exact ties go to the
+        // seeded RNG (drawn only on a genuine tie, so unhedged rounds
+        // consume no extra randomness). The loser is cancelled.
+        let viable: Vec<usize> = (0..launches.len())
+            .filter(|&i| launches[i].viable())
+            .collect();
+        let best = viable
+            .iter()
+            .map(|&i| launches[i].end_ms)
+            .fold(f64::INFINITY, f64::min);
+        let tied: Vec<usize> = viable
+            .into_iter()
+            .filter(|&i| launches[i].end_ms == best)
+            .collect();
+        let winner = match tied.len() {
+            0 => None,
+            1 => Some(tied[0]),
+            n => Some(tied[self.rng.gen_range(0..n)]),
+        };
+        if let Some(wi) = winner {
+            let wdev = launches[wi].device;
+            for (i, l) in launches.iter_mut().enumerate() {
+                if i != wi && l.viable() {
+                    l.cancelled = Some(format!("hedge: lost to dev{wdev}"));
+                }
+            }
+        }
+
+        let mut group = group.into_iter();
+        let mut leader = group.next().expect("a group has a leader");
+        leader
+            .attempts
+            .extend(launches.iter().map(|l| l.record(now, coalesced)));
+        leader.attempts_made += launches.len() as u32;
+
+        let Some(wi) = winner else {
+            queue.extend(group);
+            let end = launches.iter().map(|l| l.end_ms).fold(now, f64::max);
+            leader.last_device = Some(di);
+            if leader.attempts_made >= self.cfg.max_attempts.max(1) {
+                let reason = format!(
+                    "{} device attempts failed; degraded to host",
+                    leader.attempts_made
+                );
+                self.resolve_host(leader, end, reason, records);
+            } else {
+                let backoff =
+                    self.cfg.backoff_base_ms * f64::powi(2.0, leader.attempts_made as i32 - 1);
+                leader.not_before_ms = end + backoff.max(EPS);
+                queue.push(leader);
+            }
+            return;
+        };
+
+        let w = &launches[wi];
+        self.pool.devices[w.device].completed += segments.len() as u32;
+        if w.overflows > 0 {
+            // Overflow is an observable event, never a silent slow path:
+            // surface the per-policy count in telemetry.
+            self.registry.add(
+                "gas_bucket_overflows_total",
+                &[("policy", req.splitters.label())],
+                w.overflows as f64,
             );
-            self.resolve_host(leader, end, reason, records);
-        } else {
-            let backoff =
-                self.cfg.backoff_base_ms * f64::powi(2.0, leader.attempts_made as i32 - 1);
-            leader.not_before_ms = end + backoff.max(EPS);
-            queue.push(leader);
         }
-    }
-
-    /// Runs one checkpointed mega-batch attempt through the per-device
-    /// three-stream pipeline: member k+1's upload (H2D stream) proceeds
-    /// under member k's kernel (compute stream) while member k−1's
-    /// download drains (D2H stream), chained with events. The closure
-    /// ends on the default stream, so the bill is taken at quiesce —
-    /// the overlap win is real in the cost ledger, not an accounting
-    /// artifact. Mirrors [`SortService::device_attempt`] for breaker,
-    /// variant and prediction bookkeeping; never used for STA.
-    #[allow(clippy::too_many_arguments)]
-    fn overlapped_attempt(
-        &mut self,
-        req: &SortRequest,
-        segments: &[usize],
-        data: &mut [f32],
-        checkpoint: &[f32],
-        di: usize,
-        now: f64,
-        span_name: &str,
-    ) -> AttemptRun {
-        let array_len = req.array_len;
-        let cost = &self.cfg.cost;
-        let deterministic = req.splitters == SplitterPolicy::Deterministic;
-        let sorter = if deterministic {
-            &self.det_sorter
-        } else {
-            &self.sorter
+        let member_record = AttemptRecord {
+            predicted_ms: 0.0,
+            ..w.record(now, coalesced)
         };
-        let fused = if deterministic {
-            &self.det_fused
-        } else {
-            &self.fused
-        };
-        let warp = if deterministic {
-            &self.det_warp
-        } else {
-            &self.warp
-        };
-        let overflows = Cell::new(0u64);
-        let force_cheapest = self.ladder.enabled() && self.ladder.level() >= 2;
-        let [up, comp, down] = self.pool.devices[di].overlap_streams();
-        let dev = &mut self.pool.devices[di];
-        let variant = match req.algorithm {
-            Algorithm::Gas => {
-                cost.best_gas_variant(dev.spec(), sorter.config(), req.num_arrays, array_len)
-                    .0
+        let mut seams = w.output.as_slice();
+        for (gi, mut p) in std::iter::once(leader).chain(group).enumerate() {
+            let (own, rest) = seams.split_at(p.data.len());
+            p.data.copy_from_slice(own);
+            seams = rest;
+            if gi > 0 {
+                p.attempts.push(member_record.clone());
             }
-            Algorithm::GasFused | Algorithm::GasWarp if force_cheapest => {
-                cost.best_gas_variant(dev.spec(), sorter.config(), req.num_arrays, array_len)
-                    .0
-            }
-            Algorithm::GasFused => GasVariant::Fused,
-            Algorithm::GasWarp => GasVariant::Warp,
-            Algorithm::Sta => GasVariant::ThreeKernel,
-        };
-        // The prediction is the *serial* estimate for the merged shape:
-        // scoring the streamed bill against it makes the overlap win
-        // show up as a negative relative error, honestly.
-        let predicted_ms = match variant {
-            GasVariant::ThreeKernel => {
-                cost.device_ms(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-            GasVariant::Fused => {
-                cost.device_ms_fused(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-            GasVariant::Warp => {
-                cost.device_ms_warp(dev.spec(), sorter.config(), req.num_arrays, array_len)
-            }
-        };
-        let variant_label = variant.label();
-        dev.breaker.on_dispatch(now);
-        let mark = dev.gpu.bill_mark();
-        let result = checkpointed_attempt(&mut dev.gpu, data, checkpoint, span_name, |g, d| {
-            let inner = (|| {
-                let mut offset = 0usize;
-                for &num in segments {
-                    let len = num * array_len;
-                    let chunk = &mut d[offset..offset + len];
-                    offset += len;
-                    // Upload on the H2D stream; the kernel waits on the
-                    // upload's event, not on the whole device.
-                    g.set_stream(Some(up));
-                    let mut buf = g.alloc::<f32>(len)?;
-                    g.htod_into(chunk, &mut buf)?;
-                    let e_up = g.record_event(up);
-                    g.stream_wait_event(comp, e_up);
-                    g.set_stream(Some(comp));
-                    let geom = sorter.geometry(num, array_len);
-                    match variant {
-                        GasVariant::ThreeKernel => {
-                            let stats = sorter.sort_device(g, &buf, &geom)?;
-                            overflows.set(overflows.get() + stats.overflow.overflowed_buckets);
-                        }
-                        GasVariant::Fused => {
-                            let (_, ov) = fused.sort_device(g, &buf, &geom)?;
-                            overflows.set(overflows.get() + ov.overflowed_buckets);
-                        }
-                        GasVariant::Warp => {
-                            let (_, ov) = warp.sort_device(g, &buf, &geom)?;
-                            overflows.set(overflows.get() + ov.overflowed_buckets);
-                        }
-                    }
-                    let e_k = g.record_event(comp);
-                    g.stream_wait_event(down, e_k);
-                    g.set_stream(Some(down));
-                    g.dtoh_into(&mut buf, chunk)?;
-                }
-                Ok(())
-            })();
-            // Back to the default stream on every exit path: this
-            // quiesces the three pipeline streams, so the bill below is
-            // the true end-to-end wall time of the overlapped launch.
-            g.set_stream(None);
-            inner
-        });
-        let end_ms = match &result {
-            Ok(()) => now + dev.gpu.billed_since(mark),
-            Err(failed) => now + failed.wasted_ms,
-        };
-        AttemptRun {
-            result,
-            end_ms,
-            predicted_ms,
-            variant_label,
-            overflows: overflows.get(),
+            let outcome = Outcome::Completed { device: w.device };
+            self.finish(p, outcome, w.end_ms, records);
         }
     }
 
@@ -1543,19 +1188,12 @@ impl SortService {
     /// the virtual clock, and records the fallback.
     fn resolve_host(
         &mut self,
-        p: Pending,
+        mut p: Pending,
         at_ms: f64,
         reason: String,
         records: &mut Vec<RequestRecord>,
     ) {
-        let mut data = p.data;
-        cpu_ref::sort_arrays_seq(&mut data, p.req.array_len);
-        let verified = bits_equal(&data, &p.oracle);
-        if verified {
-            if let (Some(cache), Some(key)) = (self.cache.as_mut(), p.cache_key) {
-                cache.insert(key, data.clone());
-            }
-        }
+        cpu_ref::sort_arrays_seq(&mut p.data, p.req.array_len);
         let completion = at_ms + self.cfg.cost.host_ms(p.req.num_arrays, p.req.array_len);
         if let Some(di) = p.last_device {
             // Leave the degradation visible in the failing device's trace.
@@ -1563,23 +1201,42 @@ impl SortService {
             let span = g.begin_span(&format!("recovery/req-{}/cpu-fallback", p.req.id));
             g.end_span(span);
         }
-        records.push(RequestRecord {
-            id: p.req.id,
-            priority: p.req.priority,
-            algorithm: p.req.algorithm,
-            num_arrays: p.req.num_arrays,
-            array_len: p.req.array_len,
-            arrival_ms: p.req.arrival_ms,
-            deadline_ms: p.req.deadline_ms,
-            attempts: p.attempts,
-            outcome: Outcome::CpuFallback { reason },
-            completion_ms: Some(completion),
-            deadline_met: Some(completion <= p.req.deadline_ms + EPS),
-            verified: Some(verified),
-        });
+        self.finish(p, Outcome::CpuFallback { reason }, completion, records);
     }
 
-    fn dropped(req: SortRequest, attempts: Vec<AttemptRecord>, outcome: Outcome) -> RequestRecord {
+    /// Records a request whose payload is now sorted: verifies it against
+    /// the oracle and, when it checks out, offers it to the result cache.
+    fn finish(
+        &mut self,
+        p: Pending,
+        outcome: Outcome,
+        completion_ms: f64,
+        records: &mut Vec<RequestRecord>,
+    ) {
+        let verified = bits_equal(&p.data, &p.oracle);
+        if verified {
+            if let (Some(cache), Some(key)) = (self.cache.as_mut(), p.cache_key) {
+                cache.insert(key, p.data);
+            }
+        }
+        records.push(Self::record(
+            &p.req,
+            p.attempts,
+            outcome,
+            Some(completion_ms),
+            Some(verified),
+        ));
+    }
+
+    /// The one place a [`RequestRecord`] is built. A request that never
+    /// produced an output has neither a completion time nor a verdict.
+    fn record(
+        req: &SortRequest,
+        attempts: Vec<AttemptRecord>,
+        outcome: Outcome,
+        completion_ms: Option<f64>,
+        verified: Option<bool>,
+    ) -> RequestRecord {
         RequestRecord {
             id: req.id,
             priority: req.priority,
@@ -1590,9 +1247,9 @@ impl SortService {
             deadline_ms: req.deadline_ms,
             attempts,
             outcome,
-            completion_ms: None,
-            deadline_met: None,
-            verified: None,
+            completion_ms,
+            deadline_met: completion_ms.map(|c| c <= req.deadline_ms + EPS),
+            verified,
         }
     }
 
@@ -1951,6 +1608,49 @@ mod tests {
                 assert!(reason.contains("fits no healthy pool device"), "{reason}")
             }
             other => panic!("expected rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payloads_larger_than_every_device_are_rejected_before_generation() {
+        // Both would abort the process if their bytes were generated: the
+        // first is 164 GB, the second 16 TB with a deadline the host
+        // model says it could meet. Cache on or off, each is refused with
+        // an explicit reason.
+        let request = |id, num_arrays, array_len, deadline_ms| SortRequest {
+            id,
+            num_arrays,
+            array_len,
+            data_seed: 1,
+            algorithm: Algorithm::Gas,
+            splitters: SplitterPolicy::default(),
+            priority: Priority::Normal,
+            arrival_ms: 0.0,
+            deadline_ms,
+        };
+        let w = Workload {
+            requests: vec![
+                request(0, 10_000_000, 4096, 0.5),
+                request(1, 4_000_000_000, 1000, 1e300),
+            ],
+        };
+        for cache_entries in [0, 4] {
+            let cfg = SchedulerConfig {
+                cache_entries,
+                ..SchedulerConfig::default()
+            };
+            let report = service(1, cfg, None).run(&w).unwrap();
+            assert_eq!(report.rejected, 2, "cache_entries {cache_entries}");
+            assert_eq!(report.invariant_violations(), Vec::<String>::new());
+            match &report.records[1].outcome {
+                Outcome::Rejected { reason } => {
+                    assert!(
+                        reason.contains("exceeds the largest pool device"),
+                        "{reason}"
+                    )
+                }
+                other => panic!("expected rejection, got {other:?}"),
+            }
         }
     }
 
@@ -2683,9 +2383,10 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_is_byte_identical_to_the_legacy_path() {
+    fn default_config_replays_byte_identically_and_never_coalesces() {
         // The whole streaming tier defaults off: a default-config run of
-        // a chaos workload must not change by a byte.
+        // a chaos workload replays byte for byte, every dispatch is a
+        // group of one, and the cache stays empty.
         let w = small_workload(3, 80);
         let plan = FaultPlan::seeded(11)
             .with_launch_failure(0.05)
