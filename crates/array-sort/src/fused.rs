@@ -32,7 +32,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gpu_sim::{banks, warp, AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimError, SimResult};
+use gpu_sim::{
+    banks, check_batch_shape, warp, AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimResult,
+};
 
 use crate::bucketing::{bucket_balance, BalanceStats};
 use crate::config::{ArraySortConfig, ConfigError, SplitterPolicy};
@@ -288,25 +290,7 @@ impl FusedSort {
         data: &mut [K],
         array_len: usize,
     ) -> SimResult<FusedStats> {
-        if array_len == 0 {
-            return Err(SimError::InvalidLaunch {
-                reason: "array_len must be positive".into(),
-            });
-        }
-        if !data.len().is_multiple_of(array_len) {
-            return Err(SimError::InvalidLaunch {
-                reason: format!(
-                    "data length {} is not a multiple of array_len {array_len}",
-                    data.len()
-                ),
-            });
-        }
-        if data.is_empty() {
-            return Err(SimError::InvalidLaunch {
-                reason: "empty batch".into(),
-            });
-        }
-        let geom = self.geometry(data.len() / array_len, array_len);
+        let geom = self.geometry(check_batch_shape(data.len(), array_len)?, array_len);
 
         let t0 = gpu.elapsed_ms();
         let span = gpu.begin_span("gas-fused/upload");

@@ -67,6 +67,7 @@ pub mod pipeline;
 pub mod ragged;
 pub mod recovery;
 pub mod resplit;
+pub mod sorter;
 pub mod sorting;
 pub mod splitters;
 
@@ -76,9 +77,7 @@ pub use fused::{FusedBreakdown, FusedPath, FusedSort, FusedStats, FusedStrategy}
 pub use geometry::{BatchGeometry, GasMemoryPlan};
 pub use key::SortKey;
 pub use merge_variant::{merge_sort_arrays, MergeVariantStats};
-pub use out_of_core::{
-    sort_out_of_core, sort_out_of_core_fused, sort_out_of_core_streamed, OocStats, StreamedOocStats,
-};
+pub use out_of_core::{sort_out_of_core, sort_out_of_core_streamed, OocStats, StreamedOocStats};
 pub use pairs::{sort_pairs, PairSortStats, PairValue};
 pub use pipeline::{DeviceRunStats, GasStats, GpuArraySort};
 pub use ragged::{sort_ragged, RaggedGeometry, RaggedStats};
@@ -87,4 +86,5 @@ pub use recovery::{
     sort_ragged_with_recovery, ChunkRecovery, FailedAttempt, RecoveryReport, RetryPolicy,
 };
 pub use resplit::{BucketSeg, OverflowReport, ResplitWork};
+pub use sorter::{SortStats, Sorter, Variant};
 pub use splitters::{bucket_index, deterministic_splitters, overflow_limit, Phase1Strategy};

@@ -17,7 +17,7 @@
 //! The `merge_variant` row of `repro-ablations` quantifies where each
 //! side wins.
 
-use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimError, SimResult};
+use gpu_sim::{check_batch_shape, AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimResult};
 
 use crate::config::ArraySortConfig;
 use crate::insertion::charged_staged_insertion_sort;
@@ -65,12 +65,7 @@ pub fn merge_sort_arrays<K: SortKey>(
     array_len: usize,
     config: &ArraySortConfig,
 ) -> SimResult<MergeVariantStats> {
-    if array_len == 0 || data.is_empty() || !data.len().is_multiple_of(array_len) {
-        return Err(SimError::InvalidLaunch {
-            reason: format!("bad batch: len {} with array_len {array_len}", data.len()),
-        });
-    }
-    let num_arrays = data.len() / array_len;
+    let num_arrays = check_batch_shape(data.len(), array_len)?;
     let p = config.buckets_for(array_len);
     let threads = (p as u32).clamp(1, gpu.spec().max_threads_per_block);
 

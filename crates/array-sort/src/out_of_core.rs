@@ -14,12 +14,11 @@
 //! measurements: `upload₀ + Σᵢ max(kernelᵢ, uploadᵢ₊₁, downloadᵢ₋₁) +
 //! download_last`).
 
-use gpu_sim::{Gpu, SimError, SimResult};
+use gpu_sim::{check_batch_shape, Gpu, SimError, SimResult};
 
-use crate::fused::FusedSort;
 use crate::geometry::GasMemoryPlan;
 use crate::key::SortKey;
-use crate::pipeline::GpuArraySort;
+use crate::pipeline::{GasStats, GpuArraySort};
 
 /// Per-chunk timing of an out-of-core run.
 #[derive(Debug, Clone)]
@@ -71,75 +70,40 @@ pub fn sort_out_of_core<K: SortKey>(
     data: &mut [K],
     array_len: usize,
 ) -> SimResult<OocStats> {
-    if array_len == 0 || !data.len().is_multiple_of(array_len) || data.is_empty() {
-        return Err(SimError::InvalidLaunch {
-            reason: format!(
-                "bad batch shape: len {} with array_len {array_len}",
-                data.len()
-            ),
-        });
-    }
+    for_each_chunk(sorter, gpu, data, array_len, |gpu, chunk, _, label| {
+        let span = gpu.begin_span(label);
+        let stats = sorter.sort(gpu, chunk, array_len)?;
+        gpu.end_span(span);
+        Ok(Some(stats))
+    })
+}
+
+/// The chunk loop of [`sort_out_of_core`] and
+/// [`crate::recovery::sort_out_of_core_recovering`]: sizes chunks with
+/// [`max_chunk_arrays`] and hands each to `sort_chunk` with its index and
+/// its `ooc/chunk-{i}` span label. A chunk that reports no stats was
+/// sorted off the device and adds zeroed timings.
+pub(crate) fn for_each_chunk<K: SortKey>(
+    sorter: &GpuArraySort,
+    gpu: &mut Gpu,
+    data: &mut [K],
+    array_len: usize,
+    mut sort_chunk: impl FnMut(&mut Gpu, &mut [K], usize, &str) -> SimResult<Option<GasStats>>,
+) -> SimResult<OocStats> {
+    check_batch_shape(data.len(), array_len)?;
     let chunk_arrays = max_chunk_arrays(sorter, gpu, array_len)?;
 
     let mut chunks = Vec::new();
     for (i, chunk) in data.chunks_mut(chunk_arrays * array_len).enumerate() {
-        let t0 = gpu.elapsed_ms();
-        let span = gpu.begin_span(&format!("ooc/chunk-{i}"));
-        let stats = sorter.sort(gpu, chunk, array_len)?;
-        gpu.end_span(span);
-        debug_assert!(gpu.elapsed_ms() >= t0);
+        let stats = sort_chunk(gpu, chunk, i, &format!("ooc/chunk-{i}"))?;
+        let (upload_ms, kernel_ms, download_ms) = stats.map_or((0.0, 0.0, 0.0), |s| {
+            (s.upload_ms, s.kernel_ms(), s.download_ms)
+        });
         chunks.push(ChunkStats {
             num_arrays: chunk.len() / array_len,
-            upload_ms: stats.upload_ms,
-            kernel_ms: stats.kernel_ms(),
-            download_ms: stats.download_ms,
-        });
-    }
-
-    let serial_ms = chunks
-        .iter()
-        .map(|c| c.upload_ms + c.kernel_ms + c.download_ms)
-        .sum();
-    let pipelined_ms = pipelined_schedule(&chunks);
-    Ok(OocStats {
-        chunks,
-        chunk_arrays,
-        serial_ms,
-        pipelined_ms,
-    })
-}
-
-/// [`sort_out_of_core`], but each chunk is sorted by the fused
-/// single-kernel pipeline (`gas-fused`) instead of the three-launch one.
-/// Chunk sizing is identical — the fused path's device footprint is a
-/// strict subset of the three-kernel plan (and oversized arrays fall back
-/// to it), so the same double-buffered capacity bound is safe for both.
-pub fn sort_out_of_core_fused<K: SortKey>(
-    sorter: &FusedSort,
-    gpu: &mut Gpu,
-    data: &mut [K],
-    array_len: usize,
-) -> SimResult<OocStats> {
-    if array_len == 0 || !data.len().is_multiple_of(array_len) || data.is_empty() {
-        return Err(SimError::InvalidLaunch {
-            reason: format!(
-                "bad batch shape: len {} with array_len {array_len}",
-                data.len()
-            ),
-        });
-    }
-    let chunk_arrays = max_chunk_arrays(sorter.three_kernel(), gpu, array_len)?;
-
-    let mut chunks = Vec::new();
-    for (i, chunk) in data.chunks_mut(chunk_arrays * array_len).enumerate() {
-        let span = gpu.begin_span(&format!("ooc/chunk-{i}"));
-        let stats = sorter.sort(gpu, chunk, array_len)?;
-        gpu.end_span(span);
-        chunks.push(ChunkStats {
-            num_arrays: chunk.len() / array_len,
-            upload_ms: stats.upload_ms,
-            kernel_ms: stats.kernel_ms,
-            download_ms: stats.download_ms,
+            upload_ms,
+            kernel_ms,
+            download_ms,
         });
     }
 
@@ -189,14 +153,7 @@ pub fn sort_out_of_core_streamed<K: SortKey>(
     data: &mut [K],
     array_len: usize,
 ) -> SimResult<StreamedOocStats> {
-    if array_len == 0 || !data.len().is_multiple_of(array_len) || data.is_empty() {
-        return Err(SimError::InvalidLaunch {
-            reason: format!(
-                "bad batch shape: len {} with array_len {array_len}",
-                data.len()
-            ),
-        });
-    }
+    check_batch_shape(data.len(), array_len)?;
     let chunk_arrays = max_chunk_arrays(sorter, gpu, array_len)?;
     let chunk_elems = chunk_arrays * array_len;
 
@@ -267,7 +224,7 @@ pub fn max_chunk_arrays(sorter: &GpuArraySort, gpu: &Gpu, array_len: usize) -> S
 /// The classic double-buffered schedule: chunk i's kernel runs while
 /// chunk i+1 uploads and chunk i−1 downloads (duplex PCIe assumed, as on
 /// the paper's Tesla-class hardware).
-pub(crate) fn pipelined_schedule(chunks: &[ChunkStats]) -> f64 {
+fn pipelined_schedule(chunks: &[ChunkStats]) -> f64 {
     if chunks.is_empty() {
         return 0.0;
     }
@@ -288,6 +245,7 @@ pub(crate) fn pipelined_schedule(chunks: &[ChunkStats]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sorter::{Sorter, Variant};
     use gpu_sim::DeviceSpec;
     use support::ChaCha8Rng;
 
@@ -337,16 +295,25 @@ mod tests {
         let mut g = small_gpu();
         let paper = sort_out_of_core(&GpuArraySort::new(), &mut g, &mut paper_data, n).unwrap();
 
+        // The fused path's device footprint is a strict subset of the
+        // three-kernel plan, so the same double-buffered chunks fit it.
         let mut fused_data = data;
         let mut g = small_gpu();
-        let fused = sort_out_of_core_fused(&FusedSort::new(), &mut g, &mut fused_data, n).unwrap();
+        let fused = Sorter::new(Variant::Fused, Default::default()).unwrap();
+        let chunk_elems = max_chunk_arrays(&GpuArraySort::new(), &g, n).unwrap() * n;
+        let mut fused_chunks = 0;
+        let mut fused_serial_ms = 0.0;
+        for chunk in fused_data.chunks_mut(chunk_elems) {
+            fused_serial_ms += fused.sort(&mut g, chunk, n).unwrap().total_ms();
+            fused_chunks += 1;
+        }
 
         assert_eq!(paper_data, fused_data, "same sorted output");
-        assert_eq!(fused.chunks.len(), paper.chunks.len(), "same chunking");
+        assert_eq!(fused_chunks, paper.chunks.len(), "same chunking");
         assert!(
-            fused.serial_ms < paper.serial_ms,
+            fused_serial_ms < paper.serial_ms,
             "fused chunks must be cheaper: {} vs {}",
-            fused.serial_ms,
+            fused_serial_ms,
             paper.serial_ms
         );
     }

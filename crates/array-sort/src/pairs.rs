@@ -10,7 +10,10 @@
 //! [`insertion_sort_pairs`] per bucket. The footprint stays in-place-plus-
 //! tables: data (keys + values) + S + Z.
 
-use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, KernelStats, LaunchConfig, SimError, SimResult};
+use gpu_sim::{
+    check_batch_shape, AccessPattern, DeviceBuffer, Gpu, KernelStats, LaunchConfig, SimError,
+    SimResult,
+};
 
 use crate::bucketing::{bucket_index, StagingStrategy};
 use crate::config::ArraySortConfig;
@@ -94,12 +97,7 @@ pub fn sort_pairs<K: SortKey, V: PairValue>(
             dst_len: values.len(),
         });
     }
-    if array_len == 0 || keys.is_empty() || !keys.len().is_multiple_of(array_len) {
-        return Err(SimError::InvalidLaunch {
-            reason: format!("bad pair batch: {} keys, array_len {array_len}", keys.len()),
-        });
-    }
-    let geom = sorter.geometry(keys.len() / array_len, array_len);
+    let geom = sorter.geometry(check_batch_shape(keys.len(), array_len)?, array_len);
     let config = sorter.config();
 
     let t0 = gpu.elapsed_ms();

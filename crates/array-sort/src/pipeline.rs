@@ -7,7 +7,7 @@
 //! exposes the device-to-device core for composition (the out-of-core
 //! extension pipelines it against transfers).
 
-use gpu_sim::{DeviceBuffer, Gpu, SimError, SimResult};
+use gpu_sim::{check_batch_shape, DeviceBuffer, Gpu, SimResult};
 
 use crate::bucketing::{bucket_arrays, bucket_balance, BalanceStats, StagingStrategy};
 use crate::config::{ArraySortConfig, ConfigError, SplitterPolicy};
@@ -161,25 +161,7 @@ impl GpuArraySort {
         data: &mut [K],
         array_len: usize,
     ) -> SimResult<GasStats> {
-        if array_len == 0 {
-            return Err(SimError::InvalidLaunch {
-                reason: "array_len must be positive".into(),
-            });
-        }
-        if !data.len().is_multiple_of(array_len) {
-            return Err(SimError::InvalidLaunch {
-                reason: format!(
-                    "data length {} is not a multiple of array_len {array_len}",
-                    data.len()
-                ),
-            });
-        }
-        if data.is_empty() {
-            return Err(SimError::InvalidLaunch {
-                reason: "empty batch".into(),
-            });
-        }
-        let geom = self.geometry(data.len() / array_len, array_len);
+        let geom = self.geometry(check_batch_shape(data.len(), array_len)?, array_len);
         let t0 = gpu.elapsed_ms();
         let up = gpu.begin_span("gas/upload");
         let mut dbuf = gpu.htod_copy(data)?;
@@ -582,6 +564,6 @@ mod tests {
         let num = 15_000; // 60 MB data: fills the device
         let mut data = vec![0.0f32; n * num];
         let err = GpuArraySort::new().sort(&mut g, &mut data, n).unwrap_err();
-        assert!(matches!(err, SimError::OutOfMemory { .. }));
+        assert!(matches!(err, gpu_sim::SimError::OutOfMemory { .. }));
     }
 }

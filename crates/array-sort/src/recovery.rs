@@ -34,12 +34,12 @@
 //! same simulated time as their non-recovering counterparts and produce
 //! identical results and traces.
 
-use gpu_sim::{FaultKind, Gpu, SimError, SimResult};
+use gpu_sim::{check_batch_shape, FaultKind, Gpu, SimError, SimResult};
 
 use crate::cpu_ref;
 use crate::key::SortKey;
-use crate::out_of_core::{max_chunk_arrays, pipelined_schedule, ChunkStats, OocStats};
-use crate::pipeline::{GasStats, GpuArraySort};
+use crate::out_of_core::{for_each_chunk, OocStats};
+use crate::pipeline::GpuArraySort;
 use crate::ragged::{sort_ragged, RaggedStats};
 
 /// How hard to fight for a chunk before giving up on the device.
@@ -303,34 +303,13 @@ fn recover_core<K: SortKey, S>(
     Ok((None, rec))
 }
 
-/// [`recover_core`] specialised to the GAS pipeline with the
-/// [`crate::cpu_ref`] host sorter as the fallback.
-fn recover_slice<K: SortKey>(
-    sorter: &GpuArraySort,
-    gpu: &mut Gpu,
-    slice: &mut [K],
-    array_len: usize,
-    policy: &RetryPolicy,
-    chunk_idx: usize,
-    label: &str,
-) -> SimResult<(Option<GasStats>, ChunkRecovery)> {
-    recover_core(
-        gpu,
-        slice,
-        policy,
-        chunk_idx,
-        label,
-        |g, d| sorter.sort(g, d, array_len),
-        |d| cpu_ref::sort_arrays_seq(d, array_len),
-    )
-}
-
 /// Checkpoint/retry/fallback around an arbitrary device sort of a
 /// *uniform* batch (`num × array_len`). The closure is the device
 /// attempt — [`GpuArraySort::sort`], `thrust_sim`'s STA, or anything
 /// else with the same shape contract — and the fallback is the
-/// [`crate::cpu_ref`] host sorter, which satisfies the same oracle. This
-/// is how the CLI routes `--faults` through non-GAS algorithms.
+/// [`crate::cpu_ref`] host sorter, which satisfies the same oracle.
+/// [`crate::Sorter::sort_recovering`] runs every named variant through
+/// it.
 pub fn recover_batch_with<K: SortKey, S>(
     gpu: &mut Gpu,
     data: &mut [K],
@@ -339,14 +318,7 @@ pub fn recover_batch_with<K: SortKey, S>(
     label: &str,
     attempt: impl FnMut(&mut Gpu, &mut [K]) -> SimResult<S>,
 ) -> SimResult<(Option<S>, RecoveryReport)> {
-    if array_len == 0 || !data.len().is_multiple_of(array_len) || data.is_empty() {
-        return Err(SimError::InvalidLaunch {
-            reason: format!(
-                "bad batch shape: len {} with array_len {array_len}",
-                data.len()
-            ),
-        });
-    }
+    check_batch_shape(data.len(), array_len)?;
     let (stats, rec) = recover_core(gpu, data, policy, 0, label, attempt, |d| {
         cpu_ref::sort_arrays_seq(d, array_len)
     })?;
@@ -385,27 +357,6 @@ fn host_sort_ragged<K: SortKey>(data: &mut [K], offsets: &[usize]) {
     }
 }
 
-impl GpuArraySort {
-    /// [`GpuArraySort::sort`] with checkpoint/retry/fallback for batches
-    /// that fit on the device in one piece. Returns the usual
-    /// [`GasStats`] when a device attempt succeeded (`None` when the
-    /// batch degraded to the host sorter) plus the [`RecoveryReport`].
-    ///
-    /// Fatal errors — including a batch that genuinely does not fit on
-    /// the device — propagate; use
-    /// [`sort_out_of_core_recovering`] for datasets beyond device memory.
-    pub fn sort_with_recovery<K: SortKey>(
-        &self,
-        gpu: &mut Gpu,
-        data: &mut [K],
-        array_len: usize,
-        policy: &RetryPolicy,
-    ) -> SimResult<(Option<GasStats>, RecoveryReport)> {
-        let (stats, rec) = recover_slice(self, gpu, data, array_len, policy, 0, "gas/batch")?;
-        Ok((stats, RecoveryReport { chunks: vec![rec] }))
-    }
-}
-
 /// [`crate::out_of_core::sort_out_of_core`] with per-chunk recovery: a
 /// faulted chunk is rolled back to its checkpoint and reissued (completed
 /// chunks are never redone), and a chunk that exhausts
@@ -422,63 +373,36 @@ pub fn sort_out_of_core_recovering<K: SortKey>(
     array_len: usize,
     policy: &RetryPolicy,
 ) -> SimResult<(OocStats, RecoveryReport)> {
-    if array_len == 0 || !data.len().is_multiple_of(array_len) || data.is_empty() {
-        return Err(SimError::InvalidLaunch {
-            reason: format!(
-                "bad batch shape: len {} with array_len {array_len}",
-                data.len()
-            ),
-        });
-    }
-    let chunk_arrays = max_chunk_arrays(sorter, gpu, array_len)?;
-
-    let mut chunks = Vec::new();
     let mut recoveries = Vec::new();
-    for (i, chunk) in data.chunks_mut(chunk_arrays * array_len).enumerate() {
-        let label = format!("ooc/chunk-{i}");
-        let (stats, rec) = recover_slice(sorter, gpu, chunk, array_len, policy, i, &label)?;
-        let num_arrays = chunk.len() / array_len;
-        chunks.push(match &stats {
-            Some(s) => ChunkStats {
-                num_arrays,
-                upload_ms: s.upload_ms,
-                kernel_ms: s.kernel_ms(),
-                download_ms: s.download_ms,
-            },
-            None => ChunkStats {
-                num_arrays,
-                upload_ms: 0.0,
-                kernel_ms: 0.0,
-                download_ms: 0.0,
-            },
-        });
+    let stats = for_each_chunk(sorter, gpu, data, array_len, |gpu, chunk, i, label| {
+        let (stats, rec) = recover_core(
+            gpu,
+            chunk,
+            policy,
+            i,
+            label,
+            |g, d| sorter.sort(g, d, array_len),
+            |d| cpu_ref::sort_arrays_seq(d, array_len),
+        )?;
         recoveries.push(rec);
-    }
-
-    let serial_ms = chunks
-        .iter()
-        .map(|c| c.upload_ms + c.kernel_ms + c.download_ms)
-        .sum();
-    let pipelined_ms = pipelined_schedule(&chunks);
-    Ok((
-        OocStats {
-            chunks,
-            chunk_arrays,
-            serial_ms,
-            pipelined_ms,
-        },
-        RecoveryReport { chunks: recoveries },
-    ))
+        Ok(stats)
+    })?;
+    Ok((stats, RecoveryReport { chunks: recoveries }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::out_of_core::sort_out_of_core;
+    use crate::sorter::{Sorter, Variant};
     use gpu_sim::{DeviceSpec, FaultKind, FaultOp, FaultPlan};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::test_device())
+    }
+
+    fn gas() -> Sorter {
+        Sorter::new(Variant::ThreeKernel, Default::default()).unwrap()
     }
 
     fn reversed_batch(num: usize, n: usize) -> Vec<f32> {
@@ -576,8 +500,8 @@ mod tests {
             0,
             FaultKind::LaunchFailure,
         )));
-        let (stats, report) = GpuArraySort::new()
-            .sort_with_recovery(&mut g, &mut data, n, &RetryPolicy::default())
+        let (stats, report) = gas()
+            .sort_recovering(&mut g, &mut data, n, &RetryPolicy::default())
             .unwrap();
         assert!(stats.is_some(), "second device attempt succeeds");
         assert!(cpu_ref::is_each_sorted(&data, n));
@@ -603,8 +527,8 @@ mod tests {
         let mut g = gpu();
         g.set_fault_plan(Some(FaultPlan::seeded(1).with_launch_failure(1.0)));
         let policy = RetryPolicy::default().with_max_attempts(3);
-        let (stats, report) = GpuArraySort::new()
-            .sort_with_recovery(&mut g, &mut data, n, &policy)
+        let (stats, report) = gas()
+            .sort_recovering(&mut g, &mut data, n, &policy)
             .unwrap();
         assert!(stats.is_none(), "no device attempt can succeed");
         assert!(cpu_ref::is_each_sorted(&data, n));
@@ -626,8 +550,8 @@ mod tests {
         let mut g = gpu();
         g.set_fault_plan(Some(FaultPlan::seeded(2).with_launch_failure(1.0)));
         let policy = RetryPolicy::default().without_cpu_fallback();
-        let err = GpuArraySort::new()
-            .sort_with_recovery(&mut g, &mut data, n, &policy)
+        let err = gas()
+            .sort_recovering(&mut g, &mut data, n, &policy)
             .unwrap_err();
         assert!(err.is_transient(), "the last transient error propagates");
     }
@@ -640,8 +564,8 @@ mod tests {
         let mut g = gpu();
         // array_len that doesn't divide the data: a deterministic,
         // non-retryable mistake.
-        let err = GpuArraySort::new()
-            .sort_with_recovery(&mut g, &mut data, n + 1, &RetryPolicy::default())
+        let err = gas()
+            .sort_recovering(&mut g, &mut data, n + 1, &RetryPolicy::default())
             .unwrap_err();
         assert!(!err.is_transient());
     }
@@ -738,8 +662,8 @@ mod tests {
             0,
             FaultKind::DeviceDeath,
         )));
-        let err = GpuArraySort::new()
-            .sort_with_recovery(
+        let err = gas()
+            .sort_recovering(
                 &mut g,
                 &mut data,
                 n,

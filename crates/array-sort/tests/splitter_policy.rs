@@ -15,7 +15,7 @@
 
 use array_sort::{
     cpu_ref, overflow_limit, ArraySortConfig, FusedSort, FusedStrategy, GpuArraySort, RetryPolicy,
-    SplitterPolicy,
+    Sorter, SplitterPolicy, Variant,
 };
 use datagen::{adversarial_suite, ArrayBatch};
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
@@ -117,9 +117,9 @@ fn faulted_resplit_matches_cpu_oracle_bit_for_bit() {
                 .with_launch_failure(launch_rate)
                 .with_transfer_abort(abort_rate),
         ));
-        let sorter = GpuArraySort::with_config(det_cfg()).unwrap();
+        let sorter = Sorter::new(Variant::ThreeKernel, det_cfg()).unwrap();
         let (stats, _report) = sorter
-            .sort_with_recovery(
+            .sort_recovering(
                 &mut g,
                 batch.as_flat_mut(),
                 array_len,
@@ -130,10 +130,11 @@ fn faulted_resplit_matches_cpu_oracle_bit_for_bit() {
         assert_eq!(batch.as_flat(), oracle.as_slice());
         if let Some(stats) = stats {
             // The device path really did overflow and repair.
-            assert!(stats.overflow.overflowed_buckets >= 1);
-            assert!(stats.overflow.resplit_segments >= 1);
+            let overflow = stats.overflow().expect("GAS reports overflows");
+            assert!(overflow.overflowed_buckets >= 1);
+            assert!(overflow.resplit_segments >= 1);
             assert!(
-                (stats.overflow.post_max_sortable as usize)
+                (overflow.post_max_sortable as usize)
                     <= overflow_limit(array_len, det_cfg().buckets_for(array_len))
             );
         }

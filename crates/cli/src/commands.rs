@@ -5,8 +5,8 @@ use std::error::Error;
 use std::path::PathBuf;
 
 use array_sort::{
-    cpu_ref, recover_batch_with, sort_out_of_core_recovering, ArraySortConfig, FusedSort,
-    FusedStrategy, GpuArraySort, RecoveryReport, RetryPolicy, SplitterPolicy,
+    cpu_ref, sort_out_of_core_recovering, ArraySortConfig, GpuArraySort, RecoveryReport,
+    RetryPolicy, SortStats, Sorter, SplitterPolicy, Variant,
 };
 use datagen::{Arrangement, ArrayBatch, Distribution};
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
@@ -120,6 +120,38 @@ pub fn cmd_generate(args: &Args) -> Result<String, AnyError> {
     ))
 }
 
+/// Rejects `--splitters` and `--adaptive` for a sorter that has neither:
+/// STA and the `segsort`/`merge` baselines (`None`).
+fn require_gas_variant(variant: Option<Variant>, cfg: &ArraySortConfig) -> Result<(), AnyError> {
+    let flag = if cfg.splitter_policy != SplitterPolicy::default() {
+        "--splitters"
+    } else if cfg.adaptive_bucket_sort {
+        "--adaptive"
+    } else {
+        return Ok(());
+    };
+    match variant {
+        Some(Variant::ThreeKernel | Variant::Fused | Variant::Warp) => Ok(()),
+        _ => Err(
+            format!("{flag} is only supported with --algorithm gas, gas-fused or gas-warp").into(),
+        ),
+    }
+}
+
+/// The report's `algorithm` label for a variant, plain or recovering.
+fn report_label(variant: Variant, recovering: bool) -> &'static str {
+    match (variant, recovering) {
+        (Variant::ThreeKernel, false) => "GPU-ArraySort",
+        (Variant::ThreeKernel, true) => "GPU-ArraySort (recovering)",
+        (Variant::Fused, false) => "GPU-ArraySort fused",
+        (Variant::Fused, true) => "GPU-ArraySort fused (recovering)",
+        (Variant::Warp, false) => "GPU-ArraySort warp",
+        (Variant::Warp, true) => "GPU-ArraySort warp (recovering)",
+        (Variant::Sta, false) => "STA (Thrust tagged)",
+        (Variant::Sta, true) => "STA (recovering)",
+    }
+}
+
 /// `gas sort`: sorts a batch file with the chosen algorithm on the
 /// chosen simulated device, printing a timing/memory report.
 pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
@@ -144,218 +176,80 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
         )
         .into());
     }
+    // `segsort` and `merge` are comparison baselines: no splitters, no
+    // adaptive mode and no recovering path.
     let algorithm = args.get("algorithm").unwrap_or("gas");
-    let splitters = splitters_for(args.get("splitters"))?;
-    if splitters != SplitterPolicy::default()
-        && !matches!(algorithm, "gas" | "gas-fused" | "gas-warp")
-    {
+    let variant = match algorithm {
+        "segsort" | "merge" => None,
+        name => Some(Variant::parse(name).map_err(|_| {
+            format!("unknown algorithm {name:?} (gas|gas-fused|gas-warp|sta|segsort|merge)")
+        })?),
+    };
+    let cfg = ArraySortConfig {
+        adaptive_bucket_sort: args.flag("adaptive"),
+        splitter_policy: splitters_for(args.get("splitters"))?,
+        ..Default::default()
+    };
+    require_gas_variant(variant, &cfg)?;
+    if args.get("faults").is_some() && variant.is_none() {
         return Err(
-            "--splitters is only supported with --algorithm gas, gas-fused or gas-warp".into(),
+            "--faults is only supported with --algorithm gas or sta or gas-fused or gas-warp"
+                .into(),
         );
     }
-    let faults = match args.get("faults") {
-        Some(spec) => {
-            if !matches!(algorithm, "gas" | "sta" | "gas-fused" | "gas-warp") {
-                return Err(
-                    "--faults is only supported with --algorithm gas or sta or gas-fused or gas-warp"
-                        .into(),
-                );
-            }
-            Some(FaultPlan::parse(spec)?)
-        }
-        None => None,
-    };
+    let faults = args.get("faults").map(FaultPlan::parse).transpose()?;
     let spec = device_for(args.get("device"))?;
     let mut gpu = Gpu::new(spec);
     let original = data.clone();
     let mut recovery: Option<RecoveryReport> = None;
 
-    let (label, total_ms, kernel_ms, peak, stats_json) = match algorithm {
-        "gas" => {
-            let cfg = ArraySortConfig {
-                adaptive_bucket_sort: args.flag("adaptive"),
-                splitter_policy: splitters,
-                ..Default::default()
+    let (label, total_ms, kernel_ms, peak, stats_json) = match variant {
+        Some(variant) => {
+            let sorter = Sorter::new(variant, cfg)?;
+            let (s, total_ms) = match faults {
+                Some(plan) => {
+                    let retries = args.get_or("retries", 3)?;
+                    let policy = RetryPolicy::default().with_max_attempts(retries);
+                    gpu.set_fault_plan(Some(plan));
+                    let (s, report) =
+                        sorter.sort_recovering(&mut gpu, &mut data, array_len, &policy)?;
+                    recovery = Some(report);
+                    (s, gpu.elapsed_ms())
+                }
+                None => {
+                    let s = sorter.sort(&mut gpu, &mut data, array_len)?;
+                    let total_ms = s.total_ms();
+                    (Some(s), total_ms)
+                }
             };
-            let sorter = GpuArraySort::with_config(cfg)?;
-            if let Some(plan) = faults {
-                let policy = RetryPolicy::default().with_max_attempts(args.get_or("retries", 3)?);
-                gpu.set_fault_plan(Some(plan));
-                let (s, report) =
-                    sorter.sort_with_recovery(&mut gpu, &mut data, array_len, &policy)?;
-                let (kernel_ms, peak) = match &s {
-                    Some(s) => (s.kernel_ms(), s.peak_bytes),
-                    None => (0.0, gpu.ledger().peak()),
-                };
-                let j = ToJson::to_json(&s);
-                recovery = Some(report);
-                (
-                    "GPU-ArraySort (recovering)",
-                    gpu.elapsed_ms(),
-                    kernel_ms,
-                    peak,
-                    j,
-                )
-            } else {
-                let s = sorter.sort(&mut gpu, &mut data, array_len)?;
-                let j = ToJson::to_json(&s);
-                (
-                    "GPU-ArraySort",
-                    s.total_ms(),
-                    s.kernel_ms(),
-                    s.peak_bytes,
-                    j,
-                )
-            }
+            // A batch sorted on the host billed no kernel time.
+            let (kernel_ms, peak) = match &s {
+                Some(s) => (s.kernel_ms(), s.peak_bytes()),
+                None => (0.0, gpu.ledger().peak()),
+            };
+            let label = report_label(variant, recovery.is_some());
+            (label, total_ms, kernel_ms, peak, s.to_json())
         }
-        "gas-fused" => {
-            let sorter = FusedSort::with_config(ArraySortConfig {
-                splitter_policy: splitters,
-                ..Default::default()
-            })?;
-            if let Some(plan) = faults {
-                let policy = RetryPolicy::default().with_max_attempts(args.get_or("retries", 3)?);
-                gpu.set_fault_plan(Some(plan));
-                let (s, report) = recover_batch_with(
-                    &mut gpu,
-                    &mut data,
-                    array_len,
-                    &policy,
-                    "gas-fused/batch",
-                    |g, d| sorter.sort(g, d, array_len),
-                )?;
-                let (kernel_ms, peak) = match &s {
-                    Some(s) => (s.kernel_ms, s.peak_bytes),
-                    None => (0.0, gpu.ledger().peak()),
-                };
-                let j = ToJson::to_json(&s);
-                recovery = Some(report);
-                (
-                    "GPU-ArraySort fused (recovering)",
-                    gpu.elapsed_ms(),
-                    kernel_ms,
-                    peak,
-                    j,
-                )
-            } else {
-                let s = sorter.sort(&mut gpu, &mut data, array_len)?;
-                let j = ToJson::to_json(&s);
-                (
-                    "GPU-ArraySort fused",
-                    s.total_ms(),
-                    s.kernel_ms,
-                    s.peak_bytes,
-                    j,
-                )
-            }
-        }
-        "gas-warp" => {
-            let sorter = FusedSort::with_config_and_strategy(
-                ArraySortConfig {
-                    splitter_policy: splitters,
-                    ..Default::default()
-                },
-                FusedStrategy::WarpConflictFree,
-            )?;
-            if let Some(plan) = faults {
-                let policy = RetryPolicy::default().with_max_attempts(args.get_or("retries", 3)?);
-                gpu.set_fault_plan(Some(plan));
-                let (s, report) = recover_batch_with(
-                    &mut gpu,
-                    &mut data,
-                    array_len,
-                    &policy,
-                    "gas-warp/batch",
-                    |g, d| sorter.sort(g, d, array_len),
-                )?;
-                let (kernel_ms, peak) = match &s {
-                    Some(s) => (s.kernel_ms, s.peak_bytes),
-                    None => (0.0, gpu.ledger().peak()),
-                };
-                let j = ToJson::to_json(&s);
-                recovery = Some(report);
-                (
-                    "GPU-ArraySort warp (recovering)",
-                    gpu.elapsed_ms(),
-                    kernel_ms,
-                    peak,
-                    j,
-                )
-            } else {
-                let s = sorter.sort(&mut gpu, &mut data, array_len)?;
-                let j = ToJson::to_json(&s);
-                (
-                    "GPU-ArraySort warp",
-                    s.total_ms(),
-                    s.kernel_ms,
-                    s.peak_bytes,
-                    j,
-                )
-            }
-        }
-        "sta" => {
-            if let Some(plan) = faults {
-                let policy = RetryPolicy::default().with_max_attempts(args.get_or("retries", 3)?);
-                gpu.set_fault_plan(Some(plan));
-                let (s, report) = recover_batch_with(
-                    &mut gpu,
-                    &mut data,
-                    array_len,
-                    &policy,
-                    "sta/batch",
-                    |g, d| thrust_sim::sta::sort_arrays(g, d, array_len),
-                )?;
-                let (kernel_ms, peak) = match &s {
-                    Some(s) => (s.kernel_ms(), s.peak_bytes),
-                    None => (0.0, gpu.ledger().peak()),
-                };
-                let j = ToJson::to_json(&s);
-                recovery = Some(report);
-                ("STA (recovering)", gpu.elapsed_ms(), kernel_ms, peak, j)
-            } else {
-                let s = thrust_sim::sta::sort_arrays(&mut gpu, &mut data, array_len)?;
-                let j = ToJson::to_json(&s);
-                (
-                    "STA (Thrust tagged)",
-                    s.total_ms(),
-                    s.kernel_ms(),
-                    s.peak_bytes,
-                    j,
-                )
-            }
-        }
-        "segsort" => {
+        None if algorithm == "segsort" => {
             let s = thrust_sim::segmented_sort(&mut gpu, &mut data, array_len)?;
-            let j = ToJson::to_json(&s);
             (
                 "modern segmented sort",
                 s.total_ms(),
                 s.kernel_ms,
                 s.peak_bytes,
-                j,
+                s.to_json(),
             )
         }
-        "merge" => {
-            let s = array_sort::merge_sort_arrays(
-                &mut gpu,
-                &mut data,
-                array_len,
-                &ArraySortConfig::default(),
-            )?;
-            let j = ToJson::to_json(&s);
+        None => {
+            let cfg = ArraySortConfig::default();
+            let s = array_sort::merge_sort_arrays(&mut gpu, &mut data, array_len, &cfg)?;
             (
                 "m-way merge variant",
                 s.total_ms(),
                 s.kernel_ms(),
                 s.peak_bytes,
-                j,
+                s.to_json(),
             )
-        }
-        other => {
-            return Err(format!(
-                "unknown algorithm {other:?} (gas|gas-fused|gas-warp|sta|segsort|merge)"
-            )
-            .into())
         }
     };
 
@@ -484,49 +378,23 @@ pub fn cmd_profile(args: &Args) -> Result<String, AnyError> {
     let dist = dist_for(args.get("dist"))?;
     let arrangement = arrangement_for(args.get("arrangement"))?;
     let spec = device_for(args.get("device"))?;
-    let algorithm = args.get("algorithm").unwrap_or("gas");
-    let splitters = splitters_for(args.get("splitters"))?;
-    if splitters != SplitterPolicy::default()
-        && !matches!(algorithm, "gas" | "gas-fused" | "gas-warp")
-    {
-        return Err(
-            "--splitters is only supported with --algorithm gas, gas-fused or gas-warp".into(),
-        );
-    }
+    let variant = Variant::parse(args.get("algorithm").unwrap_or("gas"))?;
     let cfg = ArraySortConfig {
-        splitter_policy: splitters,
+        splitter_policy: splitters_for(args.get("splitters"))?,
         ..Default::default()
     };
+    require_gas_variant(Some(variant), &cfg)?;
     let trace_path = PathBuf::from(args.get("trace").unwrap_or("profile.trace.json"));
 
     let mut gpu = Gpu::new(spec);
     let batch = ArrayBatch::generate(seed, num, n, dist, arrangement);
     let mut data = batch.as_flat().to_vec();
-    let mut fused_stats: Option<array_sort::FusedStats> = None;
-    let label = match algorithm {
-        "gas" => {
-            GpuArraySort::with_config(cfg)?.sort(&mut gpu, &mut data, n)?;
-            "GPU-ArraySort"
-        }
-        "gas-fused" => {
-            fused_stats = Some(FusedSort::with_config(cfg)?.sort(&mut gpu, &mut data, n)?);
-            "GPU-ArraySort fused"
-        }
-        "gas-warp" => {
-            fused_stats = Some(
-                FusedSort::with_config_and_strategy(cfg, FusedStrategy::WarpConflictFree)?
-                    .sort(&mut gpu, &mut data, n)?,
-            );
-            "GPU-ArraySort warp"
-        }
-        "sta" => {
-            thrust_sim::sta::sort_arrays(&mut gpu, &mut data, n)?;
-            "STA (Thrust tagged)"
-        }
-        other => {
-            return Err(format!("unknown algorithm {other:?} (gas|gas-fused|gas-warp|sta)").into())
-        }
+    let stats = Sorter::new(variant, cfg)?.sort(&mut gpu, &mut data, n)?;
+    let fused_stats = match &stats {
+        SortStats::Fused(s) => Some(s),
+        _ => None,
     };
+    let label = report_label(variant, false);
 
     let phases = gpu_sim::phase_summaries(gpu.timeline(), gpu.spec());
     write_trace_file(&gpu, &trace_path)?;
@@ -541,8 +409,8 @@ pub fn cmd_profile(args: &Args) -> Result<String, AnyError> {
             "trace": trace_path.display().to_string(),
             "phases": phases,
         });
-        if let Some(s) = &fused_stats {
-            doc["fused"] = ToJson::to_json(s);
+        if let Some(s) = fused_stats {
+            doc["fused"] = s.to_json();
         }
         Ok(json::to_string_pretty(&doc))
     } else {
@@ -551,7 +419,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, AnyError> {
             gpu.spec().name,
             phase_table(&phases, gpu.elapsed_ms()),
         );
-        if let Some(s) = &fused_stats {
+        if let Some(s) = fused_stats {
             out.push_str(&format!(
                 "\nfused kernel sub-phases (model-attributed, path: {:?}):\n",
                 s.path
@@ -635,19 +503,17 @@ const DEFAULT_CHAOS_FAULTS: &str =
 /// (nonzero exit), so CI can fan it out across seeds.
 /// `--algorithm gas` (default) drives the recovering out-of-core
 /// sorter; `gas-fused` and `gas-warp` drive the single-kernel pipelines
-/// through [`recover_batch_with`] on an in-core batch.
+/// through [`Sorter::sort_recovering`] on an in-core batch.
 pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
     let algorithm = args.get("algorithm").unwrap_or("gas");
-    if !matches!(algorithm, "gas" | "gas-fused" | "gas-warp") {
-        return Err(format!("unknown algorithm {algorithm:?} (gas|gas-fused|gas-warp)").into());
-    }
+    let variant = Variant::parse(algorithm)
+        .ok()
+        .filter(|&v| v != Variant::Sta)
+        .ok_or_else(|| format!("unknown algorithm {algorithm:?} (gas|gas-fused|gas-warp)"))?;
     // The out-of-core default shape spans several chunks; the in-core
     // fused pipelines default to one shared-memory-sized batch instead.
-    let (default_num, default_n) = if algorithm == "gas" {
-        (6_000, 1_000)
-    } else {
-        (256, 1_000)
-    };
+    let ooc = variant == Variant::ThreeKernel;
+    let (default_num, default_n) = if ooc { (6_000, 1_000) } else { (256, 1_000) };
     let num: usize = args.get_or("num-arrays", default_num)?;
     let n: usize = args.get_or("array-len", default_n)?;
     require_positive_shape(num, n)?;
@@ -663,18 +529,19 @@ pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
     let policy = RetryPolicy::default().with_max_attempts(args.get_or("retries", 3)?);
     let dist = dist_for(args.get("dist"))?;
     let arrangement = arrangement_for(args.get("arrangement"))?;
-    let splitters = splitters_for(args.get("splitters"))?;
-    let sort_cfg = ArraySortConfig {
-        splitter_policy: splitters,
-        ..Default::default()
-    };
+    let sorter = Sorter::new(
+        variant,
+        ArraySortConfig {
+            splitter_policy: splitters_for(args.get("splitters"))?,
+            ..Default::default()
+        },
+    )?;
     let trace_dir = args.get("trace-dir").map(PathBuf::from);
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create trace dir {}: {e}", dir.display()))?;
     }
 
-    let sorter = GpuArraySort::with_config(sort_cfg.clone())?;
     let mut rows = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for &seed in &seeds {
@@ -688,28 +555,14 @@ pub fn cmd_chaos(args: &Args) -> Result<String, AnyError> {
         let mut gpu = Gpu::new(spec.clone());
         gpu.set_fault_plan(Some(plan));
 
-        let outcome = match algorithm {
-            "gas" => sort_out_of_core_recovering(&sorter, &mut gpu, &mut data, n, &policy)
-                .map(|(ooc, report)| (ooc.chunks.len(), report)),
-            _ => {
-                let fused = if algorithm == "gas-warp" {
-                    FusedSort::with_config_and_strategy(
-                        sort_cfg.clone(),
-                        FusedStrategy::WarpConflictFree,
-                    )?
-                } else {
-                    FusedSort::with_config(sort_cfg.clone())?
-                };
-                let span = if algorithm == "gas-warp" {
-                    "gas-warp/batch"
-                } else {
-                    "gas-fused/batch"
-                };
-                recover_batch_with(&mut gpu, &mut data, n, &policy, span, |g, d| {
-                    fused.sort(g, d, n)
-                })
-                .map(|(_, report)| (1usize, report))
-            }
+        let outcome = if ooc {
+            let gas = GpuArraySort::with_config(sorter.config().clone())?;
+            sort_out_of_core_recovering(&gas, &mut gpu, &mut data, n, &policy)
+                .map(|(stats, report)| (stats.chunks.len(), report))
+        } else {
+            sorter
+                .sort_recovering(&mut gpu, &mut data, n, &policy)
+                .map(|(_, report)| (1, report))
         };
         match outcome {
             Err(e) => failures.push(format!("seed {seed}: run failed: {e}")),
@@ -1310,7 +1163,9 @@ USAGE:
                [--output FILE] [--trace FILE] [--stats] [--json]
                (--faults, with gas, gas-fused, gas-warp or sta, enables
                 deterministic fault injection and the recovering pipeline;
-                the report gains a recovery section. gas-fused is the
+                the report gains a recovery section. --adaptive, with gas,
+                gas-fused or gas-warp, sorts buckets that collapse under
+                skew cooperatively across the block. gas-fused is the
                 single-kernel pipeline: one launch stages, buckets, sorts
                 and writes back each array; gas-warp swaps its bucketing
                 for warp-level multisplit into a padded scatter layout.
@@ -1514,6 +1369,41 @@ mod tests {
         .unwrap();
         let msg = run(&["sort", "--input", &f, "--verify"]).unwrap();
         assert!(msg.contains("4 arrays × 8"), "{msg}");
+    }
+
+    #[test]
+    fn adaptive_reaches_the_fused_kernels() {
+        let f = tmp("adaptive_heavy.bin");
+        run(&[
+            "generate",
+            "--num-arrays",
+            "200",
+            "--array-len",
+            "1000",
+            "--dist",
+            "single-heavy",
+            "--seed",
+            "3",
+            "--output",
+            &f,
+        ])
+        .unwrap();
+        let billed = |alg: &str, adaptive: bool| {
+            let mut cmd = vec!["sort", "--input", &f, "--array-len", "1000"];
+            cmd.extend(["--algorithm", alg, "--verify", "--json"]);
+            if adaptive {
+                cmd.push("--adaptive");
+            }
+            let v = json::parse(&run(&cmd).unwrap()).unwrap();
+            v["simulated_total_ms"].as_f64().unwrap()
+        };
+        for alg in ["gas-fused", "gas-warp"] {
+            let (plain, adaptive) = (billed(alg, false), billed(alg, true));
+            assert!(
+                adaptive < plain,
+                "{alg}: {adaptive} ms with --adaptive vs {plain} ms"
+            );
+        }
     }
 
     #[test]

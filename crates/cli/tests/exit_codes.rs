@@ -102,25 +102,25 @@ fn splitters_exit_codes_are_pinned() {
         ]);
         assert_eq!(out.status.code(), Some(0), "{policy}: {}", stderr(&out));
     }
-    // A valid policy on an algorithm that has no splitters is a command
-    // error, exit 1.
-    let out = gas(&[
-        "sort",
-        "--input",
-        &f,
-        "--array-len",
-        "32",
-        "--algorithm",
-        "sta",
-        "--splitters",
-        "deterministic",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("only supported with --algorithm gas"),
-        "{}",
-        stderr(&out)
-    );
+    // A valid policy, or --adaptive, on an algorithm that has no
+    // splitters and no buckets is a command error, exit 1.
+    for (alg, flag) in [
+        ("sta", &["--splitters", "deterministic"][..]),
+        ("sta", &["--adaptive"][..]),
+        ("segsort", &["--adaptive"][..]),
+        ("merge", &["--adaptive"][..]),
+    ] {
+        let mut cmdline = vec!["sort", "--input", &f, "--array-len", "32"];
+        cmdline.extend(["--algorithm", alg]);
+        cmdline.extend(flag);
+        let out = gas(&cmdline);
+        assert_eq!(out.status.code(), Some(1), "{cmdline:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("only supported with --algorithm gas, gas-fused or gas-warp"),
+            "{cmdline:?}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

@@ -103,6 +103,19 @@ impl std::error::Error for SimError {}
 /// Convenience alias used across the simulator.
 pub type SimResult<T> = Result<T, SimError>;
 
+/// The shape contract every batch sorter shares: `len` elements must
+/// split into one or more whole arrays of `array_len`. Returns the
+/// number of arrays, or [`SimError::InvalidLaunch`] for a zero
+/// `array_len`, an empty batch or a ragged tail.
+pub fn check_batch_shape(len: usize, array_len: usize) -> SimResult<usize> {
+    if array_len == 0 || len == 0 || !len.is_multiple_of(array_len) {
+        return Err(SimError::InvalidLaunch {
+            reason: format!("bad batch shape: len {len} with array_len {array_len}"),
+        });
+    }
+    Ok(len / array_len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +175,18 @@ mod tests {
             },
         ] {
             assert!(!fatal.is_transient(), "{fatal} must be fatal");
+        }
+    }
+
+    #[test]
+    fn batch_shape_check_rejects_every_malformed_shape() {
+        assert_eq!(check_batch_shape(6, 2), Ok(3));
+        for (len, array_len) in [(5, 0), (0, 2), (5, 2)] {
+            let err = check_batch_shape(len, array_len).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidLaunch { .. }),
+                "{len}/{array_len}"
+            );
         }
     }
 

@@ -73,7 +73,7 @@ pub mod trace;
 
 pub use block::{warp, BlockCtx, SharedArray, ThreadCtx};
 pub use cost::{AccessPattern, CostModel};
-pub use error::{SimError, SimResult};
+pub use error::{check_batch_shape, SimError, SimResult};
 pub use faults::{
     corrupt_slice, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultSpecError, InjectedFault,
     ScriptedFault,

@@ -16,41 +16,8 @@
 //! and reproducible.
 
 use array_sort::complexity::{eq2_unscaled, fused_unscaled, warp_unscaled, worst_case_unscaled};
-use array_sort::{ArraySortConfig, BatchGeometry};
+use array_sort::{ArraySortConfig, BatchGeometry, Variant};
 use gpu_sim::DeviceSpec;
-
-/// Which GAS pipeline a projection (and the dispatch that trusts it)
-/// refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GasVariant {
-    /// The paper's three-kernel pipeline.
-    ThreeKernel,
-    /// The fused single-kernel pipeline (`gas-fused`).
-    Fused,
-    /// The warp-multisplit fused pipeline with the padded scatter layout
-    /// (`gas-warp`).
-    Warp,
-}
-
-support::impl_to_json!(
-    enum GasVariant {
-        ThreeKernel = "three-kernel",
-        Fused = "fused",
-        Warp = "warp",
-    }
-);
-
-impl GasVariant {
-    /// Kebab-case display name, matching the JSON encoding — the
-    /// `variant` label value in attempt records and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            GasVariant::ThreeKernel => "three-kernel",
-            GasVariant::Fused => "fused",
-            GasVariant::Warp => "warp",
-        }
-    }
-}
 
 /// Tunable constants of the admission estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,16 +122,16 @@ impl CostModel {
         config: &ArraySortConfig,
         num_arrays: usize,
         array_len: usize,
-    ) -> (GasVariant, f64) {
+    ) -> (Variant, f64) {
         let three = self.device_ms(spec, config, num_arrays, array_len);
         let fused = self.device_ms_fused(spec, config, num_arrays, array_len);
         let warp = self.device_ms_warp(spec, config, num_arrays, array_len);
-        let (mut best, mut ms) = (GasVariant::ThreeKernel, three);
+        let (mut best, mut ms) = (Variant::ThreeKernel, three);
         if fused < ms {
-            (best, ms) = (GasVariant::Fused, fused);
+            (best, ms) = (Variant::Fused, fused);
         }
         if warp < ms {
-            (best, ms) = (GasVariant::Warp, warp);
+            (best, ms) = (Variant::Warp, warp);
         }
         (best, ms)
     }
@@ -264,7 +231,7 @@ mod tests {
             assert!(fused < three, "n={n}: fused {fused} vs three {three}");
             assert!(warp < fused, "n={n}: warp {warp} vs fused {fused}");
             let (variant, ms) = m.best_gas_variant(&spec, &cfg, 500, n);
-            assert_eq!(variant, GasVariant::Warp, "n={n}");
+            assert_eq!(variant, Variant::Warp, "n={n}");
             assert_eq!(ms, warp);
         }
     }
@@ -278,9 +245,9 @@ mod tests {
         let spec = DeviceSpec::tesla_k40c();
         let cfg = ArraySortConfig::default();
         let (small, _) = m.best_gas_variant(&spec, &cfg, 64, 20);
-        assert_eq!(small, GasVariant::ThreeKernel);
+        assert_eq!(small, Variant::ThreeKernel);
         let (large, _) = m.best_gas_variant(&spec, &cfg, 64, 2000);
-        assert_eq!(large, GasVariant::Warp);
+        assert_eq!(large, Variant::Warp);
     }
 
     #[test]
@@ -295,7 +262,7 @@ mod tests {
         let warp = m.device_ms_warp(&spec, &cfg, 100, 8000);
         assert_eq!(warp, three, "warp falls through the whole chain");
         let (variant, _) = m.best_gas_variant(&spec, &cfg, 100, 8000);
-        assert_eq!(variant, GasVariant::ThreeKernel, "ties keep the default");
+        assert_eq!(variant, Variant::ThreeKernel, "ties keep the default");
     }
 
     #[test]

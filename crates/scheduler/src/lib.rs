@@ -71,7 +71,7 @@ pub mod service;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use degrade::{DegradationLadder, DegradationTransition, DEFAULT_HOLD_MS, MAX_LEVEL};
-pub use estimate::{CostModel, GasVariant};
+pub use estimate::CostModel;
 pub use pool::{device_by_name, parse_mix, DevicePool, PooledDevice};
 pub use report::{
     record_request_metrics, AttemptRecord, CacheReport, DegradationReport, DeviceReport, Outcome,

@@ -8,7 +8,7 @@
 //! arrival-ordered stream of requests, either loaded from JSON or
 //! generated from a seed.
 
-use array_sort::SplitterPolicy;
+use array_sort::{SplitterPolicy, Variant};
 use support::ChaCha8Rng;
 
 /// Request priority. Under overload the service sheds the *lowest*
@@ -103,11 +103,18 @@ impl Algorithm {
 
     /// Lowercase display name.
     pub fn label(self) -> &'static str {
+        self.variant().name()
+    }
+
+    /// The sorter the request names. A `Gas` request names the
+    /// three-kernel pipeline, which dispatch may trade for the variant
+    /// the cost model prices cheapest.
+    pub fn variant(self) -> Variant {
         match self {
-            Algorithm::Gas => "gas",
-            Algorithm::GasFused => "gas-fused",
-            Algorithm::GasWarp => "gas-warp",
-            Algorithm::Sta => "sta",
+            Algorithm::Gas => Variant::ThreeKernel,
+            Algorithm::GasFused => Variant::Fused,
+            Algorithm::GasWarp => Variant::Warp,
+            Algorithm::Sta => Variant::Sta,
         }
     }
 }

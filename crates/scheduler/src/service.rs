@@ -65,8 +65,7 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use array_sort::{
-    checkpointed_attempt, cpu_ref, ArraySortConfig, FusedSort, FusedStrategy, GpuArraySort,
-    SplitterPolicy,
+    checkpointed_attempt, cpu_ref, ArraySortConfig, BatchGeometry, Sorter, SplitterPolicy, Variant,
 };
 use gpu_sim::{FaultPlan, Gpu, SimResult, StreamId};
 use support::ChaCha8Rng;
@@ -77,7 +76,7 @@ use crate::breaker::BreakerConfig;
 use crate::cache::{CacheKey, ResultCache};
 use crate::coalesce;
 use crate::degrade::DegradationLadder;
-use crate::estimate::{CostModel, GasVariant};
+use crate::estimate::CostModel;
 use crate::pool::DevicePool;
 use crate::report::{
     record_request_metrics, AttemptRecord, CacheReport, DegradationReport, DeviceReport, Outcome,
@@ -184,107 +183,80 @@ fn sched_order(a: &Pending, b: &Pending) -> Ordering {
         .then(a.req.id.cmp(&b.req.id))
 }
 
-/// The three GAS pipelines built under one splitter policy.
-struct Pipelines {
-    three_kernel: GpuArraySort,
-    fused: FusedSort,
-    warp: FusedSort,
+/// The four sorters built under one splitter policy, indexed by
+/// `Variant as usize`.
+fn sorters(policy: SplitterPolicy) -> Result<[Sorter; 4], String> {
+    let cfg = ArraySortConfig {
+        splitter_policy: policy,
+        ..Default::default()
+    };
+    let [three_kernel, fused, warp, sta] = Variant::ALL.map(|v| {
+        Sorter::new(v, cfg.clone()).map_err(|e| format!("{} sorter config: {e:?}", policy.label()))
+    });
+    Ok([three_kernel?, fused?, warp?, sta?])
 }
 
-impl Pipelines {
-    fn new(policy: SplitterPolicy) -> Result<Self, String> {
-        let cfg = ArraySortConfig {
-            splitter_policy: policy,
-            ..Default::default()
-        };
-        let build = |e: array_sort::ConfigError| format!("{} sorter config: {e:?}", policy.label());
-        Ok(Self {
-            three_kernel: GpuArraySort::with_config(cfg.clone()).map_err(build)?,
-            fused: FusedSort::with_config(cfg.clone()).map_err(build)?,
-            warp: FusedSort::with_config_and_strategy(cfg, FusedStrategy::WarpConflictFree)
-                .map_err(build)?,
-        })
+/// The attempt record's `variant` label for the pipeline that ran.
+fn record_label(variant: Variant) -> &'static str {
+    match variant {
+        Variant::ThreeKernel => "three-kernel",
+        Variant::Fused => "fused",
+        Variant::Warp => "warp",
+        Variant::Sta => "sta",
     }
+}
 
-    fn config(&self) -> &ArraySortConfig {
-        self.three_kernel.config()
-    }
-
-    /// Sorts a host batch with `variant`; returns the bucket overflows
-    /// the sort observed.
-    fn sort(
-        &self,
-        variant: GasVariant,
-        g: &mut Gpu,
-        data: &mut [f32],
-        array_len: usize,
-    ) -> SimResult<u64> {
-        Ok(match variant {
-            GasVariant::ThreeKernel => self.three_kernel.sort(g, data, array_len)?.overflow,
-            GasVariant::Fused => self.fused.sort(g, data, array_len)?.overflow,
-            GasVariant::Warp => self.warp.sort(g, data, array_len)?.overflow,
+/// Sorts `data` as one launch per segment (array counts, in payload
+/// order) through the device's upload/compute/download streams: segment
+/// k+1's upload proceeds under segment k's kernel while segment k−1's
+/// download drains, chained with events. GAS variants only. Ends on the
+/// default stream on every exit path, which quiesces the three streams
+/// — so the attempt's bill is the true end-to-end wall time of the
+/// overlapped launch, not an accounting artifact. Returns the bucket
+/// overflows the launches observed.
+fn sort_streamed(
+    sorter: &Sorter,
+    g: &mut Gpu,
+    data: &mut [f32],
+    array_len: usize,
+    segments: &[usize],
+    [up, comp, down]: [StreamId; 3],
+) -> SimResult<u64> {
+    let mut run = || -> SimResult<u64> {
+        let mut overflows = 0;
+        let mut offset = 0usize;
+        for &num in segments {
+            let len = num * array_len;
+            let chunk = &mut data[offset..offset + len];
+            offset += len;
+            g.set_stream(Some(up));
+            let mut buf = g.alloc::<f32>(len)?;
+            g.htod_into(chunk, &mut buf)?;
+            let e_up = g.record_event(up);
+            g.stream_wait_event(comp, e_up);
+            g.set_stream(Some(comp));
+            let geom = BatchGeometry::new(num, array_len, sorter.config());
+            overflows += sorter.sort_device(g, &buf, &geom)?.overflowed_buckets;
+            let e_k = g.record_event(comp);
+            g.stream_wait_event(down, e_k);
+            g.set_stream(Some(down));
+            g.dtoh_into(&mut buf, chunk)?;
         }
-        .overflowed_buckets)
-    }
-
-    /// Sorts `data` as one launch per segment (array counts, in payload
-    /// order) through the device's upload/compute/download streams:
-    /// segment k+1's upload proceeds under segment k's kernel while
-    /// segment k−1's download drains, chained with events. Ends on the
-    /// default stream on every exit path, which quiesces the three
-    /// streams — so the attempt's bill is the true end-to-end wall time
-    /// of the overlapped launch, not an accounting artifact.
-    fn sort_streamed(
-        &self,
-        variant: GasVariant,
-        g: &mut Gpu,
-        data: &mut [f32],
-        array_len: usize,
-        segments: &[usize],
-        [up, comp, down]: [StreamId; 3],
-    ) -> SimResult<u64> {
-        let mut run = || -> SimResult<u64> {
-            let mut overflows = 0;
-            let mut offset = 0usize;
-            for &num in segments {
-                let len = num * array_len;
-                let chunk = &mut data[offset..offset + len];
-                offset += len;
-                g.set_stream(Some(up));
-                let mut buf = g.alloc::<f32>(len)?;
-                g.htod_into(chunk, &mut buf)?;
-                let e_up = g.record_event(up);
-                g.stream_wait_event(comp, e_up);
-                g.set_stream(Some(comp));
-                let geom = self.three_kernel.geometry(num, array_len);
-                overflows += match variant {
-                    GasVariant::ThreeKernel => {
-                        self.three_kernel.sort_device(g, &buf, &geom)?.overflow
-                    }
-                    GasVariant::Fused => self.fused.sort_device(g, &buf, &geom)?.1,
-                    GasVariant::Warp => self.warp.sort_device(g, &buf, &geom)?.1,
-                }
-                .overflowed_buckets;
-                let e_k = g.record_event(comp);
-                g.stream_wait_event(down, e_k);
-                g.set_stream(Some(down));
-                g.dtoh_into(&mut buf, chunk)?;
-            }
-            Ok(overflows)
-        };
-        let result = run();
-        g.set_stream(None);
-        result
-    }
+        Ok(overflows)
+    };
+    let result = run();
+    g.set_stream(None);
+    result
 }
 
 /// The service: a device pool plus the scheduling state.
 pub struct SortService {
     cfg: SchedulerConfig,
     pool: DevicePool,
-    /// The GAS pipelines per splitter policy, indexed by
-    /// `SplitterPolicy as usize` (see [`SortService::pipelines`]).
-    pipelines: [Pipelines; 2],
+    /// The sorters per splitter policy, indexed by
+    /// `[SplitterPolicy as usize][Variant as usize]` (see
+    /// [`SortService::sorter`]).
+    sorters: [[Sorter; 4]; 2],
     rng: ChaCha8Rng,
     registry: Registry,
     ladder: DegradationLadder,
@@ -348,9 +320,9 @@ impl SortService {
         Ok(Self {
             cfg,
             pool,
-            pipelines: [
-                Pipelines::new(SplitterPolicy::RegularSample)?,
-                Pipelines::new(SplitterPolicy::Deterministic)?,
+            sorters: [
+                sorters(SplitterPolicy::RegularSample)?,
+                sorters(SplitterPolicy::Deterministic)?,
             ],
             rng,
             registry: Registry::new(),
@@ -360,9 +332,14 @@ impl SortService {
         })
     }
 
-    /// The GAS pipelines a request under `policy` runs on.
-    fn pipelines(&self, policy: SplitterPolicy) -> &Pipelines {
-        &self.pipelines[policy as usize]
+    /// The sorter a request under `policy` runs `variant` on.
+    fn sorter(&self, policy: SplitterPolicy, variant: Variant) -> &Sorter {
+        &self.sorters[policy as usize][variant as usize]
+    }
+
+    /// The sorter configuration under `policy`.
+    fn config(&self, policy: SplitterPolicy) -> &ArraySortConfig {
+        self.sorter(policy, Variant::ThreeKernel).config()
     }
 
     /// The device pool — for trace export after a run.
@@ -398,7 +375,7 @@ impl SortService {
         self.window_ms = if self.cfg.batch_window_ms < 0.0 {
             let specs: Vec<gpu_sim::DeviceSpec> =
                 self.pool.devices.iter().map(|d| d.spec().clone()).collect();
-            let cfg = self.pipelines(SplitterPolicy::RegularSample).config();
+            let cfg = self.config(SplitterPolicy::RegularSample);
             self.cfg.cost.auto_batch_window_ms(&specs, cfg)
         } else {
             self.cfg.batch_window_ms
@@ -779,20 +756,12 @@ impl SortService {
     }
 
     /// Does the batch fit the device under the request's algorithm?
+    /// Every GAS variant is bounded by the three-kernel plan (the fused
+    /// pipelines' fallback), so the requested variant answers for all.
     fn fits(&self, spec: &gpu_sim::DeviceSpec, req: &SortRequest) -> bool {
-        match req.algorithm {
-            // Fused/warp capacity is bounded by the three-kernel plan
-            // (their fallback), so one check covers every GAS variant.
-            Algorithm::Gas | Algorithm::GasFused | Algorithm::GasWarp => {
-                self.pipelines(SplitterPolicy::RegularSample)
-                    .three_kernel
-                    .max_arrays(spec, req.array_len)
-                    >= req.num_arrays as u64
-            }
-            Algorithm::Sta => {
-                thrust_sim::sta::max_arrays(spec, req.array_len as u64) >= req.num_arrays as u64
-            }
-        }
+        self.sorter(req.splitters, req.algorithm.variant())
+            .max_arrays(spec, req.array_len)
+            >= req.num_arrays as u64
     }
 
     /// The pipeline a request runs on `spec`, and what the cost model
@@ -808,20 +777,20 @@ impl SortService {
         spec: &gpu_sim::DeviceSpec,
         req: &SortRequest,
         force_cheapest: bool,
-    ) -> (GasVariant, f64) {
+    ) -> (Variant, f64) {
         let cost = &self.cfg.cost;
-        let cfg = self.pipelines(req.splitters).config();
+        let cfg = self.config(req.splitters);
         let (n, len) = (req.num_arrays, req.array_len);
         let variant = match req.algorithm {
-            Algorithm::GasFused if !force_cheapest => GasVariant::Fused,
-            Algorithm::GasWarp if !force_cheapest => GasVariant::Warp,
-            Algorithm::Sta => GasVariant::ThreeKernel,
+            Algorithm::GasFused if !force_cheapest => Variant::Fused,
+            Algorithm::GasWarp if !force_cheapest => Variant::Warp,
+            Algorithm::Sta => Variant::Sta,
             _ => return cost.best_gas_variant(spec, cfg, n, len),
         };
         let ms = match variant {
-            GasVariant::ThreeKernel => cost.device_ms(spec, cfg, n, len),
-            GasVariant::Fused => cost.device_ms_fused(spec, cfg, n, len),
-            GasVariant::Warp => cost.device_ms_warp(spec, cfg, n, len),
+            Variant::ThreeKernel | Variant::Sta => cost.device_ms(spec, cfg, n, len),
+            Variant::Fused => cost.device_ms_fused(spec, cfg, n, len),
+            Variant::Warp => cost.device_ms_warp(spec, cfg, n, len),
         };
         (variant, ms)
     }
@@ -847,7 +816,7 @@ impl SortService {
         Some(
             self.cfg.cost.device_ms_worst(
                 self.pool.devices[di].spec(),
-                self.pipelines(req.splitters).config(),
+                self.config(req.splitters),
                 req.num_arrays,
                 req.array_len,
             ) * self.cfg.timeout_slack,
@@ -886,7 +855,7 @@ impl SortService {
     /// order. The plan is one launch over the whole payload or — with
     /// [`SchedulerConfig::overlap`] on, two or more members and a GAS
     /// algorithm — one streamed launch per member
-    /// ([`Pipelines::sort_streamed`]). The outcome is then judged by the
+    /// ([`sort_streamed`]). The outcome is then judged by the
     /// watchdog, and its device side effects (busy time, breaker,
     /// failure counters, a `watchdog-cancel` marker) are applied.
     fn attempt(
@@ -907,13 +876,12 @@ impl SortService {
         // `gas_model_accuracy_rel_err` metric family, honestly.
         let (variant, predicted_ms) =
             self.choose_variant(self.pool.devices[di].spec(), req, force_cheapest);
-        let sta = req.algorithm == Algorithm::Sta;
-        let streams = (self.cfg.overlap && segments.len() >= 2 && !sta)
+        let streams = (self.cfg.overlap && segments.len() >= 2 && variant != Variant::Sta)
             .then(|| self.pool.devices[di].overlap_streams());
         let budget = self.watchdog_budget_ms(di, req);
-        // Indexed directly, not via `pipelines()`: a field borrow stays
+        // Indexed directly, not via `sorter()`: a field borrow stays
         // disjoint from the device borrow below.
-        let pipelines = &self.pipelines[req.splitters as usize];
+        let sorter = &self.sorters[req.splitters as usize][variant as usize];
         let array_len = req.array_len;
         let dev = &mut self.pool.devices[di];
         dev.breaker.on_dispatch(now);
@@ -922,11 +890,10 @@ impl SortService {
         let result =
             checkpointed_attempt(&mut dev.gpu, &mut output, checkpoint, span_name, |g, d| {
                 match streams {
-                    Some(streams) => {
-                        pipelines.sort_streamed(variant, g, d, array_len, segments, streams)
-                    }
-                    None if sta => thrust_sim::sta::sort_arrays(g, d, array_len).map(|_| 0),
-                    None => pipelines.sort(variant, g, d, array_len),
+                    Some(streams) => sort_streamed(sorter, g, d, array_len, segments, streams),
+                    None => sorter
+                        .sort(g, d, array_len)
+                        .map(|s| s.overflow().map_or(0, |o| o.overflowed_buckets)),
                 }
             });
         let mut launch = Launch {
@@ -937,7 +904,7 @@ impl SortService {
             transient: false,
             cancelled: None,
             predicted_ms,
-            variant: if sta { "sta" } else { variant.label() },
+            variant: record_label(variant),
             overflows: 0,
             output,
         };

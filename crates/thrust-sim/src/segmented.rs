@@ -17,7 +17,10 @@
 //! `repro-beyond` uses this to show where the paper's contribution stands
 //! against the technique that superseded it.
 
-use gpu_sim::{AccessPattern, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig, SimError, SimResult};
+use gpu_sim::{
+    check_batch_shape, AccessPattern, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig, SimError,
+    SimResult,
+};
 
 use crate::key::RadixKey;
 
@@ -56,11 +59,7 @@ pub fn segmented_sort<K: RadixKey>(
     data: &mut [K],
     array_len: usize,
 ) -> SimResult<SegSortStats> {
-    if array_len == 0 || data.is_empty() || !data.len().is_multiple_of(array_len) {
-        return Err(SimError::InvalidLaunch {
-            reason: format!("bad batch: len {} with array_len {array_len}", data.len()),
-        });
-    }
+    let num_arrays = check_batch_shape(data.len(), array_len)?;
     // Shared footprint: ping-pong segment buffers + digit counters.
     let elem = std::mem::size_of::<K>();
     let shared_need = (2 * array_len * elem + 256 * 4) as u32;
@@ -70,7 +69,6 @@ pub fn segmented_sort<K: RadixKey>(
             available: gpu.spec().shared_mem_per_block,
         });
     }
-    let num_arrays = data.len() / array_len;
 
     let t0 = gpu.elapsed_ms();
     let dbuf = gpu.htod_copy(data)?;

@@ -16,7 +16,9 @@
 //! memory" of §7.1 — all of it allocated on the device ledger so capacity
 //! experiments (Table 1) hit the same wall the authors did.
 
-use gpu_sim::{AccessPattern, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig, SimResult};
+use gpu_sim::{
+    check_batch_shape, AccessPattern, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig, SimResult,
+};
 
 use crate::radix::{stable_sort_by_key, RADIX_TILE};
 
@@ -129,13 +131,7 @@ impl StaStats {
 /// Sorts every length-`array_len` segment of `data` ascending, in place
 /// (host-visible result), using the STA baseline on `gpu`.
 pub fn sort_arrays(gpu: &mut Gpu, data: &mut [f32], array_len: usize) -> SimResult<StaStats> {
-    assert!(array_len > 0, "array_len must be positive");
-    assert!(
-        data.len().is_multiple_of(array_len),
-        "data length {} not a multiple of array_len {}",
-        data.len(),
-        array_len
-    );
+    check_batch_shape(data.len(), array_len)?;
     let peak_before = gpu.ledger().peak();
     let t0 = gpu.elapsed_ms();
 
@@ -238,6 +234,20 @@ mod tests {
         assert_eq!(data, expect);
         assert!(stats.total_ms() > 0.0);
         assert!(stats.sort_by_value_ms > 0.0 && stats.sort_by_tag_ms > 0.0);
+    }
+
+    #[test]
+    fn malformed_shapes_are_errors_not_panics() {
+        let mut g = gpu();
+        for (len, array_len) in [(5, 0), (5, 2), (0, 2)] {
+            let mut data = vec![1.0f32; len];
+            let err = sort_arrays(&mut g, &mut data, array_len).unwrap_err();
+            assert!(
+                matches!(err, gpu_sim::SimError::InvalidLaunch { .. }),
+                "array_len {array_len}: {err}"
+            );
+        }
+        assert_eq!(g.elapsed_ms(), 0.0, "nothing reached the device");
     }
 
     #[test]
