@@ -1,5 +1,6 @@
 //! Golden simulated bills: the exact cycles, wall time bits and every
-//! operation counter of the deterministic-splitter launches on one fixed,
+//! operation counter of the GAS launches (deterministic and regular
+//! sampling splitters) and of the STA baseline's launches on one fixed,
 //! seeded, skewed batch. The replay tests elsewhere compare two runs
 //! inside one binary; this file pins the numbers themselves, so a change
 //! to the host-side code that is meant to be bill-neutral (faster
@@ -71,10 +72,18 @@ impl From<&KernelStats> for Bill {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Sorts the batch with `sort` on a fresh K40c and returns the bill of
-/// every kernel it launched, in launch order. The output must match the
-/// CPU oracle, or the table would pin a wrong answer.
-fn launches(sort: impl FnOnce(&mut Gpu, &mut [f32])) -> Vec<Bill> {
+/// every kernel it launched, in launch order, with the bits of the
+/// device's total elapsed time. The output must match the CPU oracle, or
+/// the table would pin a wrong answer.
+fn run(sort: impl FnOnce(&mut Gpu, &mut [f32])) -> (Vec<Bill>, u64) {
     let input = skewed_batch();
     let mut data = input.clone();
     let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
@@ -84,7 +93,12 @@ fn launches(sort: impl FnOnce(&mut Gpu, &mut [f32])) -> Vec<Bill> {
         None,
         "the sort must match the CPU oracle"
     );
-    gpu.timeline().kernels.iter().map(Bill::from).collect()
+    let bills = gpu.timeline().kernels.iter().map(Bill::from).collect();
+    (bills, gpu.elapsed_ms().to_bits())
+}
+
+fn launches(sort: impl FnOnce(&mut Gpu, &mut [f32])) -> Vec<Bill> {
+    run(sort).0
 }
 
 fn fused(strategy: FusedStrategy) -> Vec<Bill> {
@@ -250,4 +264,112 @@ fn deterministic_three_kernel_bills_are_pinned() {
         },
     ];
     assert_eq!(three_kernel(), want);
+}
+
+/// The three-kernel pipeline under the default regular-sampling
+/// splitters: Phase 2 runs 50 threads per block (a partial second warp).
+#[test]
+fn regular_sampling_three_kernel_bills_are_pinned() {
+    let want = vec![
+        Bill {
+            name: "gas_phase1_splitters".into(),
+            cycles: 27_488,
+            time_bits: 0x3FA5737A1A1EF58B,
+            counters: Counters {
+                alu: 23_384,
+                shared_accesses: 74_182,
+                global_elems: 12_612,
+                global_txn_micro: 2_112_000_000,
+                atomics_global: 0,
+                atomics_shared: 0,
+                syncs: 12,
+                divergence_events: 0,
+                baseline_cycles: 0,
+                shared_bank_passes: 74_182,
+                warp_votes: 0,
+                warp_shuffles: 0,
+                bucket_overflows: 0,
+            },
+        },
+        Bill {
+            name: "gas_phase2_bucketing".into(),
+            cycles: 10_071,
+            time_bits: 0x3F92F66A0CF8418F,
+            counters: Counters {
+                alu: 3_603_600,
+                shared_accesses: 32_400,
+                global_elems: 1_213_800,
+                global_txn_micro: 37_931_250_000,
+                atomics_global: 0,
+                atomics_shared: 0,
+                syncs: 60,
+                divergence_events: 0,
+                baseline_cycles: 0,
+                shared_bank_passes: 32_400,
+                warp_votes: 0,
+                warp_shuffles: 0,
+                bucket_overflows: 43,
+            },
+        },
+        Bill {
+            name: "gas_phase3_bucket_sort".into(),
+            cycles: 212_318,
+            time_bits: 0x3FD28F34C01C535C,
+            counters: Counters {
+                alu: 83_804,
+                shared_accesses: 263_803,
+                global_elems: 24_600,
+                global_txn_micro: 24_018_750_000,
+                atomics_global: 0,
+                atomics_shared: 0,
+                syncs: 12,
+                divergence_events: 0,
+                baseline_cycles: 0,
+                shared_bank_passes: 263_803,
+                warp_votes: 0,
+                warp_shuffles: 0,
+                bucket_overflows: 0,
+            },
+        },
+    ];
+    let (bills, elapsed_bits) = run(|gpu, data| {
+        GpuArraySort::new()
+            .sort(gpu, data, ARRAY_LEN)
+            .expect("three-kernel sort runs clean");
+    });
+    assert_eq!(bills, want);
+    assert_eq!(elapsed_bits, 0x3FD8_37CB_2742_24BE);
+}
+
+/// The STA baseline: the tagging kernel, then two stable radix sorts of
+/// four passes each. The 12 000 elements make three radix tiles (the last
+/// one partial) and a 768-entry digit table, so every pass's scan
+/// recurses once: histogram, scan of the tiles, scan of the tile sums,
+/// uniform add, scatter. The rows are hashed (FNV-1a-64 over each bill's
+/// `Debug` form, one per line) because there are 41 of them.
+#[test]
+fn sta_bills_are_pinned() {
+    let (bills, elapsed_bits) = run(|gpu, data| {
+        thrust_sim::sta::sort_arrays(gpu, data, ARRAY_LEN).expect("STA runs clean");
+    });
+    let pass = [
+        "radix_histogram",
+        "scan_tiles",
+        "scan_tiles",
+        "scan_uniform_add",
+        "radix_scatter",
+    ];
+    let mut names = vec!["sta_tagging"];
+    for _ in 0..8 {
+        names.extend(pass);
+    }
+    assert_eq!(
+        bills.iter().map(|b| b.name.as_str()).collect::<Vec<_>>(),
+        names
+    );
+    let rows: String = bills.iter().map(|b| format!("{b:?}\n")).collect();
+    assert_eq!(
+        (fnv1a(rows.as_bytes()), elapsed_bits),
+        (0x1FAB_DE7F_E85F_0F2D, 0x3FF6_FBFE_A5C2_408E)
+    );
 }
