@@ -144,9 +144,15 @@ pub fn bucket_arrays<K: SortKey>(
         // SAFETY: this block exclusively owns array i's rows of data/S/Z.
         let bounds = unsafe { sv.slice(srow, geom.boundaries_per_array) };
         let arr = unsafe { dv.slice_mut(base, n) };
+        // Classify every element once; the count and the stable partition
+        // below both read these bucket indices.
+        let buckets: Vec<u32> = arr
+            .iter()
+            .map(|&x| bucket_index(bounds, x) as u32)
+            .collect();
         let mut counts = vec![0u32; p];
-        for &x in arr.iter() {
-            counts[bucket_index(bounds, x)] += 1;
+        for &j in &buckets {
+            counts[j as usize] += 1;
         }
         // Overflow detection (always on, every policy): a bucket beyond
         // the Dehne–Zaboli limit 2·⌈n/p⌉ is an observable event, never a
@@ -154,25 +160,24 @@ pub fn bucket_arrays<K: SortKey>(
         // it costs nothing extra; the recording itself is zero-cycle.
         let limit = overflow_limit(n, p) as u32;
         let overflowed = counts.iter().filter(|&&c| c > limit).count() as u64;
-        let mut offsets = vec![0usize; p + 1];
+        let mut cursors = vec![0usize; p + 1];
         for j in 0..p {
-            offsets[j + 1] = offsets[j] + counts[j] as usize;
+            cursors[j + 1] = cursors[j] + counts[j] as usize;
             zv.set(zrow + j, counts[j]);
         }
         // Stable partition into scratch (= the staged copy), then the
         // in-place write-back over the original array.
         let mut staged: Vec<K> = vec![K::default(); n];
-        let mut cursors = offsets.clone();
-        for &x in arr.iter() {
-            let j = bucket_index(bounds, x);
-            staged[cursors[j]] = x;
-            cursors[j] += 1;
+        for (&x, &j) in arr.iter().zip(&buckets) {
+            let c = &mut cursors[j as usize];
+            staged[*c] = x;
+            *c += 1;
         }
         arr.copy_from_slice(&staged);
 
         // ---- Cost model: the phases the device executes.
         // Phase L: cooperative load of the boundary row into shared.
-        block.threads(|t| {
+        block.uniform(|t| {
             let per = (geom.boundaries_per_array as u64).div_ceil(t_count as u64);
             t.charge_global(per, elem_bytes, AccessPattern::Coalesced);
             t.charge_shared(per);
@@ -206,7 +211,7 @@ pub fn bucket_arrays<K: SortKey>(
         });
 
         // Phase P: exclusive prefix of the p counts in shared memory.
-        block.threads(|t| {
+        block.uniform(|t| {
             t.charge_shared(2 * log2p);
             t.charge_alu(log2p);
         });
@@ -239,7 +244,7 @@ pub fn bucket_arrays<K: SortKey>(
         // Phase W: cooperative write-back of the staged array over the
         // original global memory — coalesced, and parallel thanks to the
         // counts gathered in Phase C.
-        block.threads(|t| {
+        block.uniform(|t| {
             let per = (n as u64).div_ceil(t_count as u64);
             match staging {
                 StagingStrategy::Shared => t.charge_shared(per),

@@ -29,6 +29,10 @@
 //! machine-readable summary (`results/BENCH_PR10.json`) carrying every
 //! Fig. 2 point across all variant series plus the serving-throughput
 //! comparison.
+//!
+//! A red gate does not stop the run: every gate runs and prints its own
+//! verdict, and the process exits 1 at the end, naming each gate that
+//! failed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -75,6 +79,27 @@ fn run_serving(workload: &Workload, streamed: bool) -> Result<ServiceReport, Str
     };
     let mut service = SortService::new(parse_mix("test", 1)?, cfg, None)?;
     service.run(workload)
+}
+
+/// The sequential and the streamed drain of `workload`, or why either run
+/// is unusable (an error, or a report that violates its invariants).
+fn serving_runs(workload: &Workload) -> Result<(ServiceReport, ServiceReport), String> {
+    let sequential = run_serving(workload, false)?;
+    let streamed = run_serving(workload, true)?;
+    for (label, r) in [("sequential", &sequential), ("streamed", &streamed)] {
+        let violations = r.invariant_violations();
+        if !violations.is_empty() {
+            return Err(format!(
+                "{label} serving run violated invariants:\n  {}",
+                violations.join("\n  ")
+            ));
+        }
+    }
+    Ok((sequential, streamed))
+}
+
+fn requests_per_s(requests: usize, report: &ServiceReport) -> f64 {
+    requests as f64 / report.makespan_ms * 1000.0
 }
 
 fn main() -> ExitCode {
@@ -131,6 +156,8 @@ fn main() -> ExitCode {
         report.nrmse * 100.0
     );
 
+    let mut failed: Vec<&str> = Vec::new();
+
     let fused_violations = fused_speed_gate(&current, tolerance);
     if fused_violations.is_empty() {
         println!(
@@ -143,38 +170,49 @@ fn main() -> ExitCode {
         for v in &fused_violations {
             eprintln!("  {v}");
         }
-        return ExitCode::FAILURE;
+        failed.push("fused speed gate");
     }
 
     // Ablation F: the three bucketing strategies of the fused kernel.
     // run_warp_ablation asserts the warp claims in-run (kernel time and
-    // bank passes), so a regression panics the gate before the table.
+    // bank passes); a failed assertion prints its panic message and fails
+    // this gate without stopping the others.
     println!("# Ablation F — histogram vs. warp-multisplit vs. conflict-free scatter");
-    println!(
-        "{:<6} {:>10} {:>12} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "n",
-        "hist ms",
-        "msplit ms",
-        "warp ms",
-        "hist passes",
-        "warp passes",
-        "hist txns",
-        "warp txns"
-    );
-    for r in run_warp_ablation(scale) {
-        println!(
-            "{:<6} {:>10.4} {:>12.4} {:>10.4} {:>12} {:>12} {:>12} {:>12}",
-            r.array_len,
-            r.hist_kernel_ms,
-            r.multisplit_kernel_ms,
-            r.warp_kernel_ms,
-            r.hist_bank_passes,
-            r.warp_bank_passes,
-            r.hist_global_txns,
-            r.warp_global_txns
-        );
+    match std::panic::catch_unwind(|| run_warp_ablation(scale)) {
+        Ok(rows) => {
+            println!(
+                "{:<6} {:>10} {:>12} {:>10} {:>12} {:>12} {:>12} {:>12}",
+                "n",
+                "hist ms",
+                "msplit ms",
+                "warp ms",
+                "hist passes",
+                "warp passes",
+                "hist txns",
+                "warp txns"
+            );
+            for r in rows {
+                println!(
+                    "{:<6} {:>10.4} {:>12.4} {:>10.4} {:>12} {:>12} {:>12} {:>12}",
+                    r.array_len,
+                    r.hist_kernel_ms,
+                    r.multisplit_kernel_ms,
+                    r.warp_kernel_ms,
+                    r.hist_bank_passes,
+                    r.warp_bank_passes,
+                    r.hist_global_txns,
+                    r.warp_global_txns
+                );
+            }
+            println!(
+                "warp ablation: PASS — conflict-free scatter bills strictly fewer bank passes\n"
+            );
+        }
+        Err(_) => {
+            eprintln!("FAIL — warp ablation: an in-run assertion failed (message above)\n");
+            failed.push("warp ablation");
+        }
     }
-    println!("warp ablation: PASS — conflict-free scatter bills strictly fewer bank passes\n");
 
     // Streaming serving gate: on the canned high-QPS small-request
     // burst, the coalescing + overlap dispatch path must beat the
@@ -182,80 +220,77 @@ fn main() -> ExitCode {
     // gate needs no stored baseline.
     println!("# Streaming serving gate — coalesced/overlapped vs. sequential dispatch");
     let workload = serving_workload();
-    let (sequential, streamed) = match (run_serving(&workload, false), run_serving(&workload, true))
-    {
-        (Ok(s), Ok(t)) => (s, t),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: serving gate run failed: {e}");
-            return ExitCode::FAILURE;
+    let requests = workload.requests.len();
+    let serving = match serving_runs(&workload) {
+        Ok(runs) => Some(runs),
+        Err(e) => {
+            eprintln!("FAIL — streaming serving gate: {e}");
+            failed.push("streaming serving gate");
+            None
         }
     };
-    for (label, r) in [("sequential", &sequential), ("streamed", &streamed)] {
-        let violations = r.invariant_violations();
-        if !violations.is_empty() {
-            eprintln!("FAIL — {label} serving run violated invariants:");
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            return ExitCode::FAILURE;
+    if let Some((sequential, streamed)) = &serving {
+        println!(
+            "{requests} × 4×32 requests: sequential {:.4} ms ({:.0} req/s) vs \
+             streamed {:.4} ms ({:.0} req/s)",
+            sequential.makespan_ms,
+            requests_per_s(requests, sequential),
+            streamed.makespan_ms,
+            requests_per_s(requests, streamed)
+        );
+        if streamed.makespan_ms < sequential.makespan_ms {
+            println!(
+                "streaming serving gate: PASS — {:.2}× makespan win\n",
+                sequential.makespan_ms / streamed.makespan_ms
+            );
+        } else {
+            eprintln!(
+                "FAIL — streaming serving gate: coalesced/overlapped makespan {:.4} ms does not \
+                 beat sequential {:.4} ms",
+                streamed.makespan_ms, sequential.makespan_ms
+            );
+            failed.push("streaming serving gate");
         }
     }
-    let requests = workload.requests.len();
-    let seq_rps = requests as f64 / sequential.makespan_ms * 1000.0;
-    let str_rps = requests as f64 / streamed.makespan_ms * 1000.0;
-    println!(
-        "{requests} × 4×32 requests: sequential {:.4} ms ({:.0} req/s) vs \
-         streamed {:.4} ms ({:.0} req/s)",
-        sequential.makespan_ms, seq_rps, streamed.makespan_ms, str_rps
-    );
-    if streamed.makespan_ms >= sequential.makespan_ms {
-        eprintln!(
-            "FAIL — streaming serving gate: coalesced/overlapped makespan {:.4} ms does not \
-             beat sequential {:.4} ms",
-            streamed.makespan_ms, sequential.makespan_ms
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "streaming serving gate: PASS — {:.2}× makespan win\n",
-        sequential.makespan_ms / streamed.makespan_ms
-    );
 
     // Machine-readable drop for downstream tooling: every Fig. 2 point
     // across all variant series, plus the serving-throughput section.
-    let pr10_path = default_out_dir().join("BENCH_PR10.json");
-    let pr10 = support::json!({
-        "scale": scale,
-        "figure2": report.rows.iter().map(|r| support::json!({
-            "n": r.n,
-            "three_kernel_ms": r.measured_ms,
-            "theoretical_ms": r.theoretical_ms,
-            "fused_ms": r.fused_ms,
-            "warp_ms": r.warp_ms,
-        })).collect::<Vec<_>>(),
-        "serving": {
-            "requests": requests,
-            "num_arrays": 4,
-            "array_len": 32,
-            "sequential_makespan_ms": sequential.makespan_ms,
-            "streamed_makespan_ms": streamed.makespan_ms,
-            "sequential_requests_per_s": seq_rps,
-            "streamed_requests_per_s": str_rps,
-            "speedup": sequential.makespan_ms / streamed.makespan_ms,
-        },
-    });
-    match std::fs::write(&pr10_path, support::json::to_string_pretty(&pr10) + "\n") {
-        Ok(()) => println!("wrote {}", pr10_path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", pr10_path.display());
-            return ExitCode::FAILURE;
+    // Written only when both serving runs completed.
+    if let Some((sequential, streamed)) = &serving {
+        let pr10_path = default_out_dir().join("BENCH_PR10.json");
+        let pr10 = support::json!({
+            "scale": scale,
+            "figure2": report.rows.iter().map(|r| support::json!({
+                "n": r.n,
+                "three_kernel_ms": r.measured_ms,
+                "theoretical_ms": r.theoretical_ms,
+                "fused_ms": r.fused_ms,
+                "warp_ms": r.warp_ms,
+            })).collect::<Vec<_>>(),
+            "serving": {
+                "requests": requests,
+                "num_arrays": 4,
+                "array_len": 32,
+                "sequential_makespan_ms": sequential.makespan_ms,
+                "streamed_makespan_ms": streamed.makespan_ms,
+                "sequential_requests_per_s": requests_per_s(requests, sequential),
+                "streamed_requests_per_s": requests_per_s(requests, streamed),
+                "speedup": sequential.makespan_ms / streamed.makespan_ms,
+            },
+        });
+        match std::fs::write(&pr10_path, support::json::to_string_pretty(&pr10) + "\n") {
+            Ok(()) => println!("wrote {}", pr10_path.display()),
+            Err(e) => {
+                eprintln!("error: cannot write {}: {e}", pr10_path.display());
+                failed.push("summary write");
+            }
         }
     }
 
     match record_or_compare(&baseline_path, &current, tolerance, update) {
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            failed.push("Fig. 2 baseline");
         }
         Ok(GateOutcome::Recorded {
             reason,
@@ -273,7 +308,6 @@ fn main() -> ExitCode {
                 "baseline recorded ({reason}): {} (commit this file)",
                 baseline_path.display()
             );
-            ExitCode::SUCCESS
         }
         Ok(GateOutcome::Passed { points }) => {
             println!(
@@ -281,7 +315,6 @@ fn main() -> ExitCode {
                 tolerance * 100.0,
                 baseline_path.display()
             );
-            ExitCode::SUCCESS
         }
         Ok(GateOutcome::Drifted { drifts }) => {
             eprintln!(
@@ -294,7 +327,18 @@ fn main() -> ExitCode {
             eprintln!(
                 "if this change is intentional, rerun with --update and commit the new baseline"
             );
-            ExitCode::FAILURE
+            failed.push("Fig. 2 baseline");
         }
+    }
+
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "\nbench-smoke: {} gate(s) failed: {}",
+            failed.len(),
+            failed.join(", ")
+        );
+        ExitCode::FAILURE
     }
 }

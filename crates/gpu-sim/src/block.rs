@@ -16,6 +16,11 @@
 //!   manifests;
 //! * warps fold into the SM's issue slots with the standard makespan lower
 //!   bound `max(Σwarp / slots, max warp)`.
+//!
+//! A phase whose charges cannot depend on the thread or on the data runs
+//! through [`BlockCtx::uniform`] instead: the charge closure runs once and
+//! the phase bills exactly what `threads` would for `block_dim` identical
+//! threads.
 
 use crate::cost::{AccessPattern, CostModel};
 use crate::stats::Counters;
@@ -33,7 +38,6 @@ pub struct BlockCtx<'k> {
     cost: &'k CostModel,
     cycles: f64,
     counters: Counters,
-    thread_cycles: Vec<f64>,
 }
 
 impl<'k> BlockCtx<'k> {
@@ -58,7 +62,6 @@ impl<'k> BlockCtx<'k> {
             cost,
             cycles: 0.0,
             counters: Counters::default(),
-            thread_cycles: vec![0.0; block_dim as usize],
         }
     }
 
@@ -109,22 +112,39 @@ impl<'k> BlockCtx<'k> {
     /// cycle bill is folded warp-wise and added to the block total,
     /// including the barrier cost.
     pub fn threads<F: FnMut(&mut ThreadCtx)>(&mut self, mut f: F) {
-        for tid in 0..self.block_dim {
-            let mut t = ThreadCtx {
-                tid,
-                block_idx: self.block_idx,
-                block_dim: self.block_dim,
-                grid_dim: self.grid_dim,
-                warp_size: self.warp_size,
-                cost: self.cost,
-                cycles: 0.0,
-                counters: Counters::default(),
-            };
-            f(&mut t);
-            self.thread_cycles[tid as usize] = t.cycles;
-            self.counters.merge(&t.counters);
+        let ws = self.warp_size.max(1);
+        let mut fold = PhaseFold::default();
+        for first in (0..self.block_dim).step_by(ws as usize) {
+            let mut warp = 0.0f64;
+            for tid in first..(first + ws).min(self.block_dim) {
+                let mut t = self.thread(tid);
+                f(&mut t);
+                warp = warp.max(t.cycles);
+                self.counters.merge(&t.counters);
+            }
+            fold.warp(warp);
         }
-        self.fold_phase();
+        self.end_phase(fold);
+    }
+
+    /// Runs one barrier-separated phase in which every thread charges the
+    /// same: `f` runs once (as thread 0) and the phase is billed exactly as
+    /// [`BlockCtx::threads`] bills `block_dim` threads that each charged
+    /// what `f` charged — counters × `block_dim`, and every warp, the
+    /// partial last one included, costs that thread's cycles. The charges
+    /// must not depend on `tid` or on data; the block's real work belongs
+    /// in the kernel body, outside the closure.
+    pub fn uniform<F: FnOnce(&mut ThreadCtx)>(&mut self, f: F) {
+        let mut t = self.thread(0);
+        f(&mut t);
+        self.counters
+            .merge_times(&t.counters, self.block_dim as u64);
+        let warp = 0.0f64.max(t.cycles);
+        let mut fold = PhaseFold::default();
+        for _ in 0..self.block_dim.div_ceil(self.warp_size.max(1)) {
+            fold.warp(warp);
+        }
+        self.end_phase(fold);
     }
 
     /// Runs a phase where only one thread of the block does work — the
@@ -132,8 +152,16 @@ impl<'k> BlockCtx<'k> {
     /// `threads` with an `if tid == 0` guard and models the same cost (the
     /// warp's other lanes idle at the worker's pace).
     pub fn one_thread<F: FnOnce(&mut ThreadCtx)>(&mut self, f: F) {
-        let mut t = ThreadCtx {
-            tid: 0,
+        let mut t = self.thread(0);
+        f(&mut t);
+        self.counters.merge(&t.counters);
+        self.counters.syncs += 1;
+        self.cycles += t.cycles + self.cost.sync;
+    }
+
+    fn thread(&self, tid: u32) -> ThreadCtx<'k> {
+        ThreadCtx {
+            tid,
             block_idx: self.block_idx,
             block_dim: self.block_dim,
             grid_dim: self.grid_dim,
@@ -141,34 +169,38 @@ impl<'k> BlockCtx<'k> {
             cost: self.cost,
             cycles: 0.0,
             counters: Counters::default(),
-        };
-        f(&mut t);
-        self.counters.merge(&t.counters);
-        self.counters.syncs += 1;
-        self.cycles += t.cycles + self.cost.sync;
+        }
     }
 
-    fn fold_phase(&mut self) {
-        let ws = self.warp_size as usize;
-        let mut sum = 0.0f64;
-        let mut maxw = 0.0f64;
-        for warp in self.thread_cycles.chunks(ws) {
-            let w = warp.iter().copied().fold(0.0f64, f64::max);
-            sum += w;
-            if w > maxw {
-                maxw = w;
-            }
-        }
-        let phase = (sum / self.warp_slots as f64).max(maxw);
+    /// Bills a folded phase: the SM's issue slots run the warps with the
+    /// makespan bound `max(Σwarp / slots, max warp)`, then the barrier.
+    fn end_phase(&mut self, fold: PhaseFold) {
+        let phase = (fold.sum / self.warp_slots as f64).max(fold.max);
         self.counters.syncs += 1;
         self.cycles += phase + self.cost.sync;
-        self.thread_cycles.iter_mut().for_each(|c| *c = 0.0);
     }
 
     /// Total cycles this block has accumulated, rounded to whole cycles.
     /// The launcher reads this once the kernel body returns.
     pub(crate) fn finish(self) -> (u64, Counters) {
         (self.cycles.round() as u64, self.counters)
+    }
+}
+
+/// The warp-wise fold of one phase: Σwarp, summed in warp order, and the
+/// slowest warp.
+#[derive(Default)]
+struct PhaseFold {
+    sum: f64,
+    max: f64,
+}
+
+impl PhaseFold {
+    fn warp(&mut self, cycles: f64) {
+        self.sum += cycles;
+        if cycles > self.max {
+            self.max = cycles;
+        }
     }
 }
 
@@ -633,6 +665,109 @@ mod tests {
         assert_eq!(warp::scan_steps(32), 5);
         assert_eq!(warp::scan_steps(1), 0);
         assert_eq!(warp::scan_steps(24), 5, "non-pow2 warps round up");
+    }
+
+    /// One step of a random charge script.
+    #[derive(Debug, Clone, Copy)]
+    enum Charge {
+        Alu(u64),
+        Shared(u64),
+        SharedConflicted(u64, u32),
+        Global(u64, u32, AccessPattern),
+        GlobalSerial(u64),
+        AtomicGlobal(u64),
+        AtomicShared(u64),
+        AtomicSharedContended(u64, u32),
+        BaselineSort(u64, f64),
+        BaselineCycles(f64),
+        Divergence(u64),
+        WarpVote(u64),
+        WarpShuffle(u64),
+        WarpScan,
+        BucketOverflow(u64),
+    }
+
+    impl Charge {
+        fn random(rng: &mut support::ChaCha8Rng) -> Self {
+            let n = rng.gen_range(0u64..40);
+            let degree = rng.gen_range(0u32..33);
+            let pattern = match rng.gen_range(0u32..5) {
+                0 => AccessPattern::Coalesced,
+                1 => AccessPattern::Strided(rng.gen_range(1u32..9)),
+                2 => AccessPattern::Scattered,
+                3 => AccessPattern::Broadcast,
+                _ => AccessPattern::SingleLaneSequential,
+            };
+            match rng.gen_range(0u32..15) {
+                0 => Charge::Alu(n),
+                1 => Charge::Shared(n),
+                2 => Charge::SharedConflicted(n, degree),
+                3 => Charge::Global(n, [1, 2, 4, 8][rng.gen_range(0usize..4)], pattern),
+                4 => Charge::GlobalSerial(n),
+                5 => Charge::AtomicGlobal(n),
+                6 => Charge::AtomicShared(n),
+                7 => Charge::AtomicSharedContended(n, degree),
+                8 => Charge::BaselineSort(n, rng.gen_range(0.0f64..1.0)),
+                9 => Charge::BaselineCycles(rng.gen_range(0.0f64..500.0)),
+                10 => Charge::Divergence(n),
+                11 => Charge::WarpVote(n),
+                12 => Charge::WarpShuffle(n),
+                13 => Charge::WarpScan,
+                _ => Charge::BucketOverflow(n),
+            }
+        }
+
+        fn apply(self, t: &mut ThreadCtx) {
+            match self {
+                Charge::Alu(n) => t.charge_alu(n),
+                Charge::Shared(n) => t.charge_shared(n),
+                Charge::SharedConflicted(n, d) => t.charge_shared_conflicted(n, d),
+                Charge::Global(n, bytes, p) => t.charge_global(n, bytes, p),
+                Charge::GlobalSerial(n) => t.charge_global_serial(n),
+                Charge::AtomicGlobal(n) => t.charge_atomic_global(n),
+                Charge::AtomicShared(n) => t.charge_atomic_shared(n),
+                Charge::AtomicSharedContended(n, d) => t.charge_atomic_shared_contended(n, d),
+                Charge::BaselineSort(n, fraction) => t.charge_baseline_sort(n, fraction),
+                Charge::BaselineCycles(c) => t.charge_baseline_cycles(c),
+                Charge::Divergence(n) => t.charge_divergence(n),
+                Charge::WarpVote(n) => t.charge_warp_vote(n),
+                Charge::WarpShuffle(n) => t.charge_warp_shuffle(n),
+                Charge::WarpScan => t.charge_warp_scan(),
+                Charge::BucketOverflow(n) => t.record_bucket_overflow(n),
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_phase_bills_exactly_what_threads_bills() {
+        use support::check::{check, vec};
+        let cost = CostModel::default();
+        check(400, |rng| {
+            let block_dim = [1, 31, 32, 50, 256, 1024][rng.gen_range(0usize..6)];
+            let slots = rng.gen_range(1u32..9);
+            let phases: Vec<Vec<Charge>> = vec(rng, 1..4, |rng| vec(rng, 0..12, Charge::random));
+            let mut by_threads = BlockCtx::new(0, 1, block_dim, 32, slots, 48 * 1024, &cost);
+            let mut by_uniform = BlockCtx::new(0, 1, block_dim, 32, slots, 48 * 1024, &cost);
+            for script in &phases {
+                by_threads.threads(|t| script.iter().for_each(|c| c.apply(t)));
+                by_uniform.uniform(|t| script.iter().for_each(|c| c.apply(t)));
+            }
+            assert_eq!(
+                by_uniform.cycles.to_bits(),
+                by_threads.cycles.to_bits(),
+                "unrounded cycles"
+            );
+            let (want_cycles, want_counters) = by_threads.finish();
+            let (cycles, counters) = by_uniform.finish();
+            assert_eq!(
+                cycles, want_cycles,
+                "block_dim {block_dim}, {slots} slots: {phases:?}"
+            );
+            assert_eq!(
+                counters, want_counters,
+                "block_dim {block_dim}, {slots} slots: {phases:?}"
+            );
+        });
     }
 
     #[test]

@@ -63,6 +63,11 @@
 //! `array-sort`'s Phase 3 charges `insertion_sort`'s exact
 //! comparison/move counts.
 //!
+//! When every thread of a phase charges the same, whatever its `tid` or
+//! the data, do the block's real work in the kernel body and bill the
+//! phase with [`crate::BlockCtx::uniform`]: one charge call, the same
+//! bill as `threads`. `thrust-sim`'s radix kernels are written this way.
+//!
 //! ## 3. The aliasing discipline
 //!
 //! [`crate::GlobalView`] is CUDA's memory model, not Rust's: within one

@@ -67,19 +67,26 @@ support::impl_json!(struct Counters {
 impl Counters {
     /// Adds `other`'s counts into `self`.
     pub fn merge(&mut self, other: &Counters) {
-        self.alu += other.alu;
-        self.shared_accesses += other.shared_accesses;
-        self.global_elems += other.global_elems;
-        self.global_txn_micro += other.global_txn_micro;
-        self.atomics_global += other.atomics_global;
-        self.atomics_shared += other.atomics_shared;
-        self.syncs += other.syncs;
-        self.divergence_events += other.divergence_events;
-        self.baseline_cycles += other.baseline_cycles;
-        self.shared_bank_passes += other.shared_bank_passes;
-        self.warp_votes += other.warp_votes;
-        self.warp_shuffles += other.warp_shuffles;
-        self.bucket_overflows += other.bucket_overflows;
+        self.merge_times(other, 1);
+    }
+
+    /// Adds `times` copies of `other` (what `times` threads that each
+    /// counted `other` contribute to their block).
+    #[inline]
+    pub fn merge_times(&mut self, other: &Counters, times: u64) {
+        self.alu += other.alu * times;
+        self.shared_accesses += other.shared_accesses * times;
+        self.global_elems += other.global_elems * times;
+        self.global_txn_micro += other.global_txn_micro * times;
+        self.atomics_global += other.atomics_global * times;
+        self.atomics_shared += other.atomics_shared * times;
+        self.syncs += other.syncs * times;
+        self.divergence_events += other.divergence_events * times;
+        self.baseline_cycles += other.baseline_cycles * times;
+        self.shared_bank_passes += other.shared_bank_passes * times;
+        self.warp_votes += other.warp_votes * times;
+        self.warp_shuffles += other.warp_shuffles * times;
+        self.bucket_overflows += other.bucket_overflows * times;
     }
 
     /// Whole global-memory transactions (rounded from the micro count).

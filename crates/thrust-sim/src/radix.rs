@@ -24,9 +24,12 @@
 //! (coalesced tile reads, per-element shared-memory traffic, semi-coalesced
 //! scatter writes — consecutive same-digit elements land contiguously, so
 //! writes average a few transactions per warp, charged as `Strided(2)`).
-//! The equivalent data movement runs once per block.
+//! The charges are the same for every thread, so each phase is billed
+//! through `BlockCtx::uniform`; the equivalent data movement runs once per
+//! block in the kernel body, and the scatter does what that design does:
+//! rank the tile locally, then copy each digit's run to its base.
 
-use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimResult};
+use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimError, SimResult};
 
 use crate::key::RadixKey;
 use crate::scan::exclusive_scan;
@@ -48,7 +51,8 @@ pub trait DeviceValue: Copy + Default + Send + Sync + 'static {}
 impl<T: Copy + Default + Send + Sync + 'static> DeviceValue for T {}
 
 /// Sorts `keys` (with `values` permuted identically) stably and in
-/// ascending key order. Buffer lengths must match.
+/// ascending key order. Buffer lengths must match: mismatched lengths are
+/// [`SimError::InvalidLaunch`], and nothing reaches the device.
 ///
 /// Allocates two temporary buffers of the same size (the Thrust/radix O(N)
 /// overhead) plus the digit histogram; all are freed on return.
@@ -57,7 +61,15 @@ pub fn stable_sort_by_key<K: RadixKey, V: DeviceValue>(
     keys: &mut DeviceBuffer<K>,
     values: &mut DeviceBuffer<V>,
 ) -> SimResult<()> {
-    assert_eq!(keys.len(), values.len(), "key/value length mismatch");
+    if keys.len() != values.len() {
+        return Err(SimError::InvalidLaunch {
+            reason: format!(
+                "key/value length mismatch: {} keys with {} values",
+                keys.len(),
+                values.len()
+            ),
+        });
+    }
     let len = keys.len();
     if len <= 1 {
         return Ok(());
@@ -101,6 +113,20 @@ pub fn sort_keys<K: RadixKey>(gpu: &mut Gpu, keys: &mut DeviceBuffer<K>) -> SimR
     stable_sort_by_key(gpu, keys, &mut dummy)
 }
 
+/// The `shift`ed 8-bit digit of `k`.
+fn digit<K: RadixKey>(k: K, shift: u32) -> usize {
+    ((k.to_radix_bits() >> shift) & (RADIX_DIGITS as u32 - 1)) as usize
+}
+
+/// How many keys of `tile` hold each digit.
+fn digit_counts<K: RadixKey>(tile: &[K], shift: u32) -> [u32; RADIX_DIGITS] {
+    let mut counts = [0u32; RADIX_DIGITS];
+    for &k in tile {
+        counts[digit(k, shift)] += 1;
+    }
+    counts
+}
+
 #[allow(clippy::too_many_arguments)]
 fn histogram_kernel<K: RadixKey>(
     gpu: &mut Gpu,
@@ -119,7 +145,14 @@ fn histogram_kernel<K: RadixKey>(
         let tile_start = b * RADIX_TILE;
         let tile_len = RADIX_TILE.min(len - tile_start);
         let elems_per_thread = (tile_len as u64).div_ceil(RADIX_THREADS as u64).min(16);
-        block.threads(|t| {
+        // Count the tile's digits and publish them to the digit-major table.
+        // SAFETY: tile is block-exclusive; hist rows are written at column
+        // block_idx only by this block.
+        let tile = unsafe { src_view.slice(tile_start, tile_len) };
+        for (d, &c) in digit_counts(tile, shift).iter().enumerate() {
+            hist_view.set(d * num_tiles + b, c);
+        }
+        block.uniform(|t| {
             // Read the tile coalesced; one shared-atomic bump per element.
             t.charge_global(elems_per_thread, 4, AccessPattern::Coalesced);
             t.charge_alu(3 * elems_per_thread); // shift/mask/index math
@@ -127,25 +160,10 @@ fn histogram_kernel<K: RadixKey>(
             // Calibrated Thrust-on-Kepler overhead (30% of a pass's bill
             // lands in the histogram kernel) — see CostModel::thrust_elem_cycles.
             t.charge_baseline_sort(elems_per_thread, 0.3);
-            if t.tid == 0 {
-                // Equivalent work once per block: count the tile's digits
-                // and publish to the digit-major table.
-                // SAFETY: tile is block-exclusive; hist rows are written at
-                // column block_idx only by this block.
-                let tile = unsafe { src_view.slice(tile_start, tile_len) };
-                let mut counts = [0u32; RADIX_DIGITS];
-                for k in tile {
-                    let d = ((k.to_radix_bits() >> shift) & (RADIX_DIGITS as u32 - 1)) as usize;
-                    counts[d] += 1;
-                }
-                for (d, &c) in counts.iter().enumerate() {
-                    hist_view.set(d * num_tiles + b, c);
-                }
-            }
         });
         // Publishing 256 counters to the digit-major table: one store per
         // counter, strided by num_tiles → effectively scattered.
-        block.threads(|t| {
+        block.uniform(|t| {
             t.charge_global(1, 4, AccessPattern::Scattered);
         });
     })?;
@@ -177,7 +195,40 @@ fn scatter_kernel<K: RadixKey, V: DeviceValue>(
         let tile_start = b * RADIX_TILE;
         let tile_len = RADIX_TILE.min(len - tile_start);
         let elems_per_thread = (tile_len as u64).div_ceil(RADIX_THREADS as u64).min(16);
-        block.threads(|t| {
+        // Rank the tile stably into block-local scratch: per-digit counts,
+        // their exclusive prefix, then every element to its digit's run in
+        // element order.
+        // SAFETY: src tile is block-exclusive.
+        let keys = unsafe { sk.slice(tile_start, tile_len) };
+        let vals = unsafe { sv.slice(tile_start, tile_len) };
+        let counts = digit_counts(keys, shift);
+        let mut runs = [0usize; RADIX_DIGITS + 1];
+        for d in 0..RADIX_DIGITS {
+            runs[d + 1] = runs[d] + counts[d] as usize;
+        }
+        let mut cursors = runs;
+        let mut ranked_k = vec![K::default(); tile_len];
+        let mut ranked_v = vec![V::default(); tile_len];
+        for (&k, &v) in keys.iter().zip(vals) {
+            let c = &mut cursors[digit(k, shift)];
+            ranked_k[*c] = k;
+            ranked_v[*c] = v;
+            *c += 1;
+        }
+        // Each digit's run is contiguous in the destination, starting at
+        // the scanned digit-major base `hist[digit][tile]`.
+        for d in 0..RADIX_DIGITS {
+            let run = runs[d]..runs[d + 1];
+            if run.is_empty() {
+                continue;
+            }
+            let dst = hv.get(d * num_tiles + b) as usize;
+            // SAFETY: the scanned offsets partition [0, len) into disjoint
+            // (digit, tile) runs, so no two blocks or digits overlap.
+            unsafe { dk.slice_mut(dst, run.len()) }.copy_from_slice(&ranked_k[run.clone()]);
+            unsafe { dv.slice_mut(dst, run.len()) }.copy_from_slice(&ranked_v[run]);
+        }
+        block.uniform(|t| {
             // Re-read tile (key + value) coalesced, compute a stable local
             // rank via shared-memory digit scan (~8 ALU + 4 shared per
             // element, the amortized cost of the per-digit flag scans),
@@ -193,27 +244,6 @@ fn scatter_kernel<K: RadixKey, V: DeviceValue>(
             // Calibrated Thrust-on-Kepler overhead (70% of a pass's bill
             // lands in the scatter) — see CostModel::thrust_elem_cycles.
             t.charge_baseline_sort(elems_per_thread, 0.7);
-            if t.tid == 0 {
-                // Equivalent stable scatter once per block: walk the tile
-                // in element order, bumping per-digit cursors that start at
-                // the scanned digit-major base offsets.
-                // SAFETY: src tile block-exclusive; every destination index
-                // is written exactly once across the whole launch because
-                // the scanned offsets partition [0, len).
-                let keys = unsafe { sk.slice(tile_start, tile_len) };
-                let vals = unsafe { sv.slice(tile_start, tile_len) };
-                let mut cursors = [0u32; RADIX_DIGITS];
-                for (d, c) in cursors.iter_mut().enumerate() {
-                    *c = hv.get(d * num_tiles + b);
-                }
-                for (k, v) in keys.iter().zip(vals) {
-                    let d = ((k.to_radix_bits() >> shift) & (RADIX_DIGITS as u32 - 1)) as usize;
-                    let dst = cursors[d] as usize;
-                    cursors[d] += 1;
-                    dk.set(dst, *k);
-                    dv.set(dst, *v);
-                }
-            }
         });
     })?;
     Ok(())
@@ -360,6 +390,21 @@ mod tests {
             data_bytes
         );
         assert!(g.timeline().kernels_named("radix").count() >= 8);
+    }
+
+    #[test]
+    fn mismatched_lengths_are_errors_not_panics() {
+        let mut g = gpu();
+        let mut keys: DeviceBuffer<u32> = g.alloc(3).unwrap();
+        let mut vals: DeviceBuffer<u8> = g.alloc(2).unwrap();
+        let err = stable_sort_by_key(&mut g, &mut keys, &mut vals).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidLaunch { .. }),
+            "want InvalidLaunch, got {err}"
+        );
+        assert!(err.to_string().contains("3 keys with 2 values"), "{err}");
+        assert_eq!(g.elapsed_ms(), 0.0, "nothing reached the device");
+        assert!(g.timeline().kernels.is_empty(), "no kernel launched");
     }
 
     #[test]

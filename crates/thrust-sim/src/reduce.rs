@@ -97,20 +97,18 @@ fn reduce_level_u32<O: ReduceOp>(
         let start = b * REDUCE_TILE;
         let tlen = REDUCE_TILE.min(len - start);
         let per_thread = (tlen as u64).div_ceil(REDUCE_THREADS as u64);
-        block.threads(|t| {
+        // SAFETY: block-exclusive tile; dst slot unique per block.
+        let tile = unsafe { sv.slice(start, tlen) };
+        let mut acc = op.identity();
+        for &x in tile {
+            acc = op.combine(acc, x as u64);
+        }
+        dv.set(b, acc);
+        block.uniform(|t| {
             // Grid-stride loads + shared-memory tree (log2 steps).
             t.charge_global(per_thread, 4, AccessPattern::Coalesced);
             t.charge_alu(per_thread + 2 * LOG2_THREADS);
             t.charge_shared(2 * LOG2_THREADS);
-            if t.tid == 0 {
-                // SAFETY: block-exclusive tile; dst slot unique per block.
-                let tile = unsafe { sv.slice(start, tlen) };
-                let mut acc = op.identity();
-                for &x in tile {
-                    acc = op.combine(acc, x as u64);
-                }
-                dv.set(b, acc);
-            }
         });
     })?;
     Ok(())
@@ -133,19 +131,17 @@ fn reduce_level_u64<O: ReduceOp>(
         let start = b * REDUCE_TILE;
         let tlen = REDUCE_TILE.min(len - start);
         let per_thread = (tlen as u64).div_ceil(REDUCE_THREADS as u64);
-        block.threads(|t| {
+        // SAFETY: block-exclusive tile; dst slot unique per block.
+        let tile = unsafe { sv.slice(start, tlen) };
+        let mut acc = op.identity();
+        for &x in tile {
+            acc = op.combine(acc, x);
+        }
+        dv.set(b, acc);
+        block.uniform(|t| {
             t.charge_global(per_thread, 8, AccessPattern::Coalesced);
             t.charge_alu(per_thread + 2 * LOG2_THREADS);
             t.charge_shared(2 * LOG2_THREADS);
-            if t.tid == 0 {
-                // SAFETY: block-exclusive tile; dst slot unique per block.
-                let tile = unsafe { sv.slice(start, tlen) };
-                let mut acc = op.identity();
-                for &x in tile {
-                    acc = op.combine(acc, x);
-                }
-                dv.set(b, acc);
-            }
         });
     })?;
     Ok(())

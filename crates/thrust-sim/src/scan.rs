@@ -8,7 +8,8 @@
 //!
 //! Simulation note: each block charges the Blelloch cost pattern for every
 //! thread (loads/stores coalesced, `2·log₂(tile)` shared-memory sweep
-//! steps), while the equivalent data movement is performed once per block.
+//! steps) as one uniform phase, while the equivalent data movement is
+//! performed once per block.
 //! Results are bit-identical to a sequential exclusive scan.
 
 use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimResult};
@@ -59,8 +60,21 @@ fn scan_tiles_kernel(
         let b = block.block_idx() as usize;
         let tile_start = b * SCAN_TILE;
         let tile_len = SCAN_TILE.min(len - tile_start);
+        // Exclusive scan of the tile; its total to sums[block].
+        // SAFETY: this block exclusively owns its tile; sums slot is written
+        // only by this block.
+        let tile = unsafe { view.slice_mut(tile_start, tile_len) };
+        let mut acc = 0u32;
+        for v in tile.iter_mut() {
+            let x = *v;
+            *v = acc;
+            acc = acc.wrapping_add(x);
+        }
+        if let Some(s) = sums {
+            s.set(b, acc);
+        }
         let elems_per_thread = 2u64;
-        block.threads(|t| {
+        block.uniform(|t| {
             // Cost model: load 2 elements coalesced, run the up/down
             // sweeps (4 shared accesses + 2 ALU per step), store 2.
             t.charge_global(elems_per_thread, 4, AccessPattern::Coalesced);
@@ -68,22 +82,6 @@ fn scan_tiles_kernel(
             t.charge_shared(4 * LOG2_TILE);
             t.charge_alu(2 * LOG2_TILE);
             t.charge_global(elems_per_thread, 4, AccessPattern::Coalesced);
-            if t.tid == 0 {
-                // Equivalent data movement, once per block: exclusive scan
-                // of the tile; total to sums[block].
-                // SAFETY: this block exclusively owns its tile; sums slot is
-                // written only by this block.
-                let tile = unsafe { view.slice_mut(tile_start, tile_len) };
-                let mut acc = 0u32;
-                for v in tile.iter_mut() {
-                    let x = *v;
-                    *v = acc;
-                    acc = acc.wrapping_add(x);
-                }
-                if let Some(s) = sums {
-                    s.set(b, acc);
-                }
-            }
         });
     })
 }
@@ -102,18 +100,16 @@ fn uniform_add_kernel(
         let b = block.block_idx() as usize;
         let tile_start = b * SCAN_TILE;
         let tile_len = SCAN_TILE.min(len - tile_start);
-        block.threads(|t| {
+        let offset = sums.get(b);
+        // SAFETY: block-exclusive tile.
+        let tile = unsafe { view.slice_mut(tile_start, tile_len) };
+        for v in tile.iter_mut() {
+            *v = v.wrapping_add(offset);
+        }
+        block.uniform(|t| {
             t.charge_global(1, 4, AccessPattern::Broadcast); // read sums[b]
             t.charge_global(4, 4, AccessPattern::Coalesced); // 2 loads + 2 stores
             t.charge_alu(2);
-            if t.tid == 0 {
-                let offset = sums.get(b);
-                // SAFETY: block-exclusive tile.
-                let tile = unsafe { view.slice_mut(tile_start, tile_len) };
-                for v in tile.iter_mut() {
-                    *v = v.wrapping_add(offset);
-                }
-            }
         });
     })
 }

@@ -105,7 +105,12 @@ fn run_kernel<K: RadixKey>(
         let i = block.block_idx() as usize;
         let base = i * array_len;
         let per_thread = (array_len as u64).div_ceil(SEG_THREADS as u64);
-        block.threads(|t| {
+        // Real data movement once per block: sort the segment by the radix
+        // key order (bit order == total order).
+        // SAFETY: block-exclusive segment.
+        let seg = unsafe { dv.slice_mut(base, array_len) };
+        seg.sort_unstable_by_key(|k| k.to_radix_bits());
+        block.uniform(|t| {
             // Load segment coalesced into shared, run 4 radix passes of
             // shared-memory ranking + scatter, store back coalesced.
             t.charge_global(per_thread, elem_bytes, AccessPattern::Coalesced);
@@ -119,13 +124,6 @@ fn run_kernel<K: RadixKey>(
             t.charge_baseline_cycles(seg_cycles * SEG_PASSES as f64 * per_thread as f64);
             t.charge_shared(per_thread);
             t.charge_global(per_thread, elem_bytes, AccessPattern::Coalesced);
-            if t.tid == 0 {
-                // Real data movement once per block: sort the segment by
-                // the radix key order (bit order == total order).
-                // SAFETY: block-exclusive segment.
-                let seg = unsafe { dv.slice_mut(base, array_len) };
-                seg.sort_unstable_by_key(|k| k.to_radix_bits());
-            }
         });
     })?;
     Ok(())

@@ -192,17 +192,15 @@ fn tagging_kernel(
             let start = block.block_idx() as usize * tile;
             let tlen = tile.min(len - start);
             let per_thread = (tlen as u64).div_ceil(TAG_THREADS as u64);
-            block.threads(|t| {
+            // SAFETY: block-exclusive range of the tag buffer.
+            let out = unsafe { view.slice_mut(start, tlen) };
+            for (off, v) in out.iter_mut().enumerate() {
+                *v = ((start + off) / array_len) as u32;
+            }
+            block.uniform(|t| {
                 // One integer divide + coalesced store per element.
                 t.charge_alu(20 * per_thread);
                 t.charge_global(per_thread, 4, AccessPattern::Coalesced);
-                if t.tid == 0 {
-                    // SAFETY: block-exclusive range of the tag buffer.
-                    let out = unsafe { view.slice_mut(start, tlen) };
-                    for (off, v) in out.iter_mut().enumerate() {
-                        *v = ((start + off) / array_len) as u32;
-                    }
-                }
             });
         },
     )?;
