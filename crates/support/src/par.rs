@@ -37,9 +37,14 @@ fn run<P: Send, A: Send>(workers: usize, pieces: Vec<P>, work: impl Fn(P) -> A +
     if workers == 1 {
         return pieces.into_iter().map(work).collect();
     }
+    let count = pieces.len();
     let queue = Mutex::new(pieces.into_iter().enumerate());
     let worker = || {
-        let mut done = Vec::new();
+        // Room for every piece up front: how the pieces fall between the
+        // workers varies from run to run, and a buffer that grew with its
+        // share would make the host's allocation pattern (and so its
+        // heap layout and peak memory) vary with it.
+        let mut done = Vec::with_capacity(count);
         loop {
             let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
             match next {
